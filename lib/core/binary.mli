@@ -46,7 +46,7 @@ val clear : t -> unit
 (** Drop every entry (capacity retained).  Used by the simplifier's
     database rebuild, which re-adds every surviving 2-clause. *)
 
-val implications : t -> Lit.t -> int Vec.t
+val implications : t -> Lit.t -> Ivec.t
 (** [implications t p] is the packed implication vector consulted when
     [p] becomes true: stride-2 [(implied_lit, cref)] pairs, one per
     stored binary clause containing [negate p].  Exposed as the raw

@@ -45,16 +45,20 @@ type t = {
   mutable nvars : int;
   mutable n_original : int;
   arena : Arena.t;
-  original : Arena.cref Vec.t;
-  learnt : Arena.cref Vec.t;  (* the chronological conflict-clause stack *)
-  mutable watches : int Vec.t array;
+  original : Ivec.t;  (* crefs *)
+  learnt : Ivec.t;  (* crefs: the chronological conflict-clause stack *)
+  mutable watches : Ivec.t array;
       (* per literal: flattened (blocker, cref) pairs *)
   binary : Binary.t;  (* implication index of all stored 2-clauses *)
-  mutable assigns : Value.t array;
+  mutable vals : Value.t array;
+      (* per literal: [vals.(l)] is the value of [l] itself, so
+         [vals.(Lit.negate l)] is always its opposite (both
+         [Unassigned] while the variable is free); a variable's value
+         sits at [Lit.pos v] *)
   mutable level : int array;
   mutable reason : Arena.cref array;  (* [Arena.cref_undef] = decision / level 0 *)
-  trail : Lit.t Vec.t;
-  trail_lim : int Vec.t;
+  trail : Ivec.t;  (* literals *)
+  trail_lim : Ivec.t;
   mutable qhead : int;  (* long-clause (watch list) propagation head *)
   mutable bin_qhead : int;  (* binary-implication head, drained first *)
   mutable top_cursor : int;
@@ -76,6 +80,10 @@ type t = {
       (* last value each variable was assigned, recorded only when
          [Config.phase_saving] is on; [Unassigned] = never assigned *)
   mutable seen : bool array;
+  mutable level_stamp : int array;
+      (* per decision level: the [glue_stamp] of the last conflict
+         whose learnt clause had a literal at that level *)
+  mutable glue_stamp : int;
   heap : Var_heap.t option;  (* strategy-3 variable order, if enabled *)
   mutable assumptions : Lit.t array;  (* active only inside solve_with_assumptions *)
   mutable last_core : Lit.t list option;
@@ -102,7 +110,7 @@ type t = {
       (* canonical keys of clauses already imported: double imports
          (the same clause relayed again, or learnt by two workers)
          must land at most once *)
-  learnt_glue : int Vec.t;
+  learnt_glue : Ivec.t;
       (* learn-time glue of each clause on the [learnt] stack, index
          for index — kept in lockstep by learning, import and DB
          reduction (GC preserves stack order, so relocation never
@@ -127,15 +135,15 @@ let set_trace_sink s sink = Trace.set_sink s.tracer sink
 let close_trace s = Trace.close s.tracer
 let num_vars s = s.nvars
 let num_original_clauses s = s.n_original
-let num_learnt_live s = Vec.length s.learnt
+let num_learnt_live s = Ivec.length s.learnt
 let old_activity_threshold s = s.old_threshold
 let set_proof_logger s f = s.proof <- Some f
 let set_decision_hook s f = s.on_decision <- Some f
 let set_learn_hook s f = s.on_learn <- Some f
 let set_minimize_hook s f = s.on_minimize <- Some f
 let set_import_source s f = s.import_source <- Some f
-let glue_of_learnt s i = Vec.get s.learnt_glue i
-let value_of s v = s.assigns.(v)
+let glue_of_learnt s i = Ivec.get s.learnt_glue i
+let value_of s v = s.vals.(Lit.pos v)
 let arena_bytes s = Arena.bytes s.arena
 let arena_wasted_bytes s = Arena.wasted_bytes s.arena
 let num_binary_entries s = Binary.num_entries s.binary
@@ -145,25 +153,31 @@ let log_proof s e =
   | None -> ()
   | Some f -> f e
 
-let log_add s lits = log_proof s (Drup.Add (Clause.of_array lits))
-let log_delete s lits = log_proof s (Drup.Delete (Clause.of_array lits))
+(* Events are built only when a logger is attached: without one, a
+   learnt or deleted clause is neither copied nor sorted. *)
+let log_add s lits =
+  match s.proof with
+  | None -> ()
+  | Some f -> f (Drup.Add (Clause.of_array lits))
 
-let decision_level s = Vec.length s.trail_lim
+let log_delete s c =
+  match s.proof with
+  | None -> ()
+  | Some f -> f (Drup.Delete (Clause.of_array (Arena.lits_array s.arena c)))
 
-let lit_value s l =
-  match s.assigns.(Lit.var l) with
-  | Value.Unassigned -> Value.Unassigned
-  | Value.True -> if Lit.is_pos l then Value.True else Value.False
-  | Value.False -> if Lit.is_pos l then Value.False else Value.True
+let decision_level s = Ivec.length s.trail_lim
+
+let lit_value s l = s.vals.(l)
 
 let enqueue s l reason =
   let v = Lit.var l in
-  assert (not (Value.is_assigned s.assigns.(v)));
+  assert (s.vals.(l) = Value.Unassigned);
   s.assign_epoch <- s.assign_epoch + 1;
-  s.assigns.(v) <- (if Lit.is_pos l then Value.True else Value.False);
+  s.vals.(l) <- Value.True;
+  s.vals.(Lit.negate l) <- Value.False;
   (* Phase saving records at assignment time: the value cannot change
      while assigned, so this equals the classic save-on-backtrack. *)
-  if s.cfg.Config.phase_saving then s.saved_phase.(v) <- s.assigns.(v);
+  if s.cfg.Config.phase_saving then s.saved_phase.(v) <- s.vals.(Lit.pos v);
   let dl = decision_level s in
   s.level.(v) <- dl;
   (* Level-0 reasons are never consulted by conflict analysis and would
@@ -177,11 +191,12 @@ let enqueue s l reason =
      Add) are harmless — the checker counts multiplicity. *)
   if dl = 0 && s.proof <> None && s.cfg.Config.simplify <> Config.Simp_off then
     log_add s [| l |];
-  Vec.push s.trail l
+  Ivec.push s.trail l
 
 let unassign s l =
   let v = Lit.var l in
-  s.assigns.(v) <- Value.Unassigned;
+  s.vals.(l) <- Value.Unassigned;
+  s.vals.(Lit.negate l) <- Value.Unassigned;
   s.reason.(v) <- Arena.cref_undef;
   match s.heap with
   | Some h -> Var_heap.push h v
@@ -189,29 +204,29 @@ let unassign s l =
 
 let backtrack s lvl =
   if decision_level s > lvl then begin
-    let limit = Vec.get s.trail_lim lvl in
-    for i = Vec.length s.trail - 1 downto limit do
-      unassign s (Vec.get s.trail i)
+    let limit = Ivec.get s.trail_lim lvl in
+    for i = Ivec.length s.trail - 1 downto limit do
+      unassign s (Ivec.get s.trail i)
     done;
-    Vec.shrink s.trail limit;
-    Vec.shrink s.trail_lim lvl;
+    Ivec.shrink s.trail limit;
+    Ivec.shrink s.trail_lim lvl;
     s.qhead <- limit;
     s.bin_qhead <- limit;
     s.assign_epoch <- s.assign_epoch + 1;
     (* Unassignments can desatisfy clauses above the cached top-clause
        cursor; repair lazily by resetting it to the stack top. *)
-    s.top_cursor <- Vec.length s.learnt - 1
+    s.top_cursor <- Ivec.length s.learnt - 1
   end
 
 let attach s c =
   let l0 = Arena.lit s.arena c 0 and l1 = Arena.lit s.arena c 1 in
   (* Each watcher carries the other watch as its initial blocker. *)
   let w0 = s.watches.(l0) in
-  Vec.push w0 l1;
-  Vec.push w0 c;
+  Ivec.push w0 l1;
+  Ivec.push w0 c;
   let w1 = s.watches.(l1) in
-  Vec.push w1 l0;
-  Vec.push w1 c
+  Ivec.push w1 l0;
+  Ivec.push w1 c
 
 (* ------------------------------------------------------------------ *)
 (* Boolean constraint propagation.
@@ -246,48 +261,48 @@ let propagate s =
   (* [bin_qhead >= qhead] always: both reset to the same trail limit on
      backtrack, and the binary drain runs to the trail end before each
      long-clause step.  The outer loop therefore keys on [qhead]. *)
-  while !conflict = Arena.cref_undef && s.qhead < Vec.length s.trail do
+  while !conflict = Arena.cref_undef && s.qhead < Ivec.length s.trail do
     (* Saturate the binary layer before the next long-clause literal. *)
-    while !conflict = Arena.cref_undef && s.bin_qhead < Vec.length s.trail do
-      let p = Vec.get s.trail s.bin_qhead in
+    while !conflict = Arena.cref_undef && s.bin_qhead < Ivec.length s.trail do
+      let p = Ivec.get s.trail s.bin_qhead in
       s.bin_qhead <- s.bin_qhead + 1;
       let bs = Binary.implications s.binary p in
-      let n = Vec.length bs in
+      let n = Ivec.length bs in
       let i = ref 0 in
       while !conflict = Arena.cref_undef && !i < n do
-        let u = Vec.get bs !i in
+        let u = Ivec.get bs !i in
         (match lit_value s u with
         | Value.True -> ()
         | Value.Unassigned ->
           incr bin_props;
-          enqueue s u (Vec.get bs (!i + 1));
+          enqueue s u (Ivec.get bs (!i + 1));
           if s.tracer.Trace.active then
             Trace.emit s.tracer
               (Trace.Propagate { level = decision_level s; lit = u })
         | Value.False ->
           s.stats.binary_conflicts <- s.stats.binary_conflicts + 1;
-          conflict := Vec.get bs (!i + 1));
+          conflict := Ivec.get bs (!i + 1));
         i := !i + 2
       done
     done;
     if !conflict = Arena.cref_undef then begin
-    let p = Vec.get s.trail s.qhead in
+    let p = Ivec.get s.trail s.qhead in
     s.qhead <- s.qhead + 1;
     s.stats.propagations <- s.stats.propagations + 1;
     let false_lit = Lit.negate p in
     let ws = s.watches.(false_lit) in
-    let n = Vec.length ws in
+    let n = Ivec.length ws in
     let i = ref 0 in
     let j = ref 0 in
     while !i < n do
-      let blocker = Vec.get ws !i in
-      let c = Vec.get ws (!i + 1) in
+      let blocker = Ivec.get ws !i in
+      let c = Ivec.get ws (!i + 1) in
       incr visits;
       if lit_value s blocker = Value.True then begin
         (* Satisfied: keep the watcher without touching the arena. *)
         incr hits;
-        Vec.set ws !j blocker;
-        Vec.set ws (!j + 1) c;
+        Ivec.set ws !j blocker;
+        Ivec.set ws (!j + 1) c;
         j := !j + 2;
         i := !i + 2
       end
@@ -303,8 +318,8 @@ let propagate s =
         let first = data.(base) in
         if first <> blocker && lit_value s first = Value.True then begin
           (* Satisfied by the other watch: keep, with a better blocker. *)
-          Vec.set ws !j first;
-          Vec.set ws (!j + 1) c;
+          Ivec.set ws !j first;
+          Ivec.set ws (!j + 1) c;
           j := !j + 2
         end
         else begin
@@ -319,21 +334,21 @@ let propagate s =
             data.(base + 1) <- data.(base + !k);
             data.(base + !k) <- false_lit;
             let wl = s.watches.(data.(base + 1)) in
-            Vec.push wl first;
-            Vec.push wl c
+            Ivec.push wl first;
+            Ivec.push wl c
           end
           else begin
             (* Unit or conflicting: the watcher stays. *)
-            Vec.set ws !j first;
-            Vec.set ws (!j + 1) c;
+            Ivec.set ws !j first;
+            Ivec.set ws (!j + 1) c;
             j := !j + 2;
             match lit_value s first with
             | Value.False ->
               conflict := c;
               (* Copy the remaining watchers before bailing out. *)
               while !i < n do
-                Vec.set ws !j (Vec.get ws !i);
-                Vec.set ws (!j + 1) (Vec.get ws (!i + 1));
+                Ivec.set ws !j (Ivec.get ws !i);
+                Ivec.set ws (!j + 1) (Ivec.get ws (!i + 1));
                 i := !i + 2;
                 j := !j + 2
               done
@@ -347,7 +362,7 @@ let propagate s =
         end
       end
     done;
-    Vec.shrink ws !j
+    Ivec.shrink ws !j
     end
   done;
   s.stats.watcher_visits <- s.stats.watcher_visits + !visits;
@@ -414,7 +429,7 @@ let analyze s (confl : Arena.cref) =
   let learnt = ref [] in
   let counter = ref 0 in
   let p = ref (-1) in
-  let idx = ref (Vec.length s.trail - 1) in
+  let idx = ref (Ivec.length s.trail - 1) in
   let c = ref confl in
   let continue = ref true in
   while !continue do
@@ -441,7 +456,7 @@ let analyze s (confl : Arena.cref) =
     done;
     (* Walk the trail back to the next marked literal of this level. *)
     let rec next_marked () =
-      let l = Vec.get s.trail !idx in
+      let l = Ivec.get s.trail !idx in
       decr idx;
       if s.seen.(Lit.var l) then l else next_marked ()
     in
@@ -540,14 +555,20 @@ let analyze s (confl : Arena.cref) =
   (* Glue (LBD): distinct decision levels among the learnt literals,
      measured now — before backtracking invalidates the levels.  Low
      glue marks clauses that link few search levels, the quality
-     signal the portfolio export filter keys on. *)
+     signal the portfolio export filter keys on.  One pass: a level
+     counts the first time it is stamped with this conflict's
+     [glue_stamp]. *)
   let glue =
-    let n = Array.length lits in
-    let levels = Array.init n (fun j -> s.level.(Lit.var lits.(j))) in
-    Array.sort compare levels;
-    let d = ref 1 in
-    for j = 1 to n - 1 do
-      if levels.(j) <> levels.(j - 1) then incr d
+    if dl >= Array.length s.level_stamp then
+      s.level_stamp <- Array.make (2 * dl) 0;
+    s.glue_stamp <- s.glue_stamp + 1;
+    let d = ref 0 in
+    for j = 0 to Array.length lits - 1 do
+      let lv = s.level.(Lit.var lits.(j)) in
+      if s.level_stamp.(lv) <> s.glue_stamp then begin
+        s.level_stamp.(lv) <- s.glue_stamp;
+        incr d
+      end
     done;
     !d
   in
@@ -564,15 +585,15 @@ let record_learnt s ~glue lits =
   else begin
     let c = Arena.alloc s.arena ~learnt:true lits in
     s.stats.arena_bytes <- Arena.bytes s.arena;
-    Vec.push s.learnt c;
-    Vec.push s.learnt_glue glue;
+    Ivec.push s.learnt c;
+    Ivec.push s.learnt_glue glue;
     (* The new clause tops the stack and is unsatisfied (its asserting
        literal is only enqueued below), so the top-clause cursor must
        restart from it. *)
-    s.top_cursor <- Vec.length s.learnt - 1;
-    if Vec.length s.learnt > s.stats.max_learnt_live then
-      s.stats.max_learnt_live <- Vec.length s.learnt;
-    Stats.note_live_clauses s.stats (s.n_original + Vec.length s.learnt);
+    s.top_cursor <- Ivec.length s.learnt - 1;
+    if Ivec.length s.learnt > s.stats.max_learnt_live then
+      s.stats.max_learnt_live <- Ivec.length s.learnt;
+    Stats.note_live_clauses s.stats (s.n_original + Ivec.length s.learnt);
     if Array.length lits = 2 then Binary.add s.binary ~cref:c lits.(0) lits.(1)
     else attach s c;
     enqueue s lits.(0) c
@@ -597,31 +618,31 @@ let gc s =
   let into = Arena.create ~capacity:(max (Arena.live_words ar) 16) () in
   Array.iter
     (fun ws ->
-      let n = Vec.length ws in
+      let n = Ivec.length ws in
       let i = ref 0 in
       let j = ref 0 in
       while !i < n do
-        let b = Vec.get ws !i in
-        let c = Vec.get ws (!i + 1) in
+        let b = Ivec.get ws !i in
+        let c = Ivec.get ws (!i + 1) in
         if not (Arena.is_deleted ar c) then begin
-          Vec.set ws !j b;
-          Vec.set ws (!j + 1) (Arena.reloc ar ~into c);
+          Ivec.set ws !j b;
+          Ivec.set ws (!j + 1) (Arena.reloc ar ~into c);
           j := !j + 2
         end;
         i := !i + 2
       done;
-      Vec.shrink ws !j)
+      Ivec.shrink ws !j)
     s.watches;
-  for i = 0 to Vec.length s.trail - 1 do
-    let v = Lit.var (Vec.get s.trail i) in
+  for i = 0 to Ivec.length s.trail - 1 do
+    let v = Lit.var (Ivec.get s.trail i) in
     let r = s.reason.(v) in
     if r <> Arena.cref_undef then s.reason.(v) <- Arena.reloc ar ~into r
   done;
-  for i = 0 to Vec.length s.learnt - 1 do
-    Vec.set s.learnt i (Arena.reloc ar ~into (Vec.get s.learnt i))
+  for i = 0 to Ivec.length s.learnt - 1 do
+    Ivec.set s.learnt i (Arena.reloc ar ~into (Ivec.get s.learnt i))
   done;
-  for i = 0 to Vec.length s.original - 1 do
-    Vec.set s.original i (Arena.reloc ar ~into (Vec.get s.original i))
+  for i = 0 to Ivec.length s.original - 1 do
+    Ivec.set s.original i (Arena.reloc ar ~into (Ivec.get s.original i))
   done;
   Binary.filter_reloc s.binary
     ~dead:(fun c -> Arena.is_deleted ar c)
@@ -652,12 +673,12 @@ let satisfied_at_level0 s c =
    decision level 0 only. *)
 let reduction_keeps s =
   let ar = s.arena in
-  let n = Vec.length s.learnt in
+  let n = Ivec.length s.learnt in
   let keep = Array.make n true in
   (match s.cfg.reduction_mode with
   | Config.Keep_all -> ()
   | Config.Length_limit limit ->
-    Vec.iteri
+    Ivec.iteri
       (fun i c ->
         if satisfied_at_level0 s c then keep.(i) <- false
         else if Arena.clause_size ar c > limit then keep.(i) <- false)
@@ -668,14 +689,14 @@ let reduction_keeps s =
        below the limit) are kept unconditionally; the rest survive
        only while young, judged by the same age band as the paper's
        scheme. *)
-    let n = Vec.length s.learnt in
+    let n = Ivec.length s.learnt in
     let young_band = s.cfg.young_fraction *. float_of_int n in
-    Vec.iteri
+    Ivec.iteri
       (fun i c ->
         if i = n - 1 then keep.(i) <- true
           (* the topmost clause is never removed: anti-looping *)
         else if satisfied_at_level0 s c then keep.(i) <- false
-        else if Vec.get s.learnt_glue i <= limit then begin
+        else if Ivec.get s.learnt_glue i <= limit then begin
           keep.(i) <- true;
           s.stats.glue_reduction_kept <- s.stats.glue_reduction_kept + 1
         end
@@ -690,7 +711,7 @@ let reduction_keeps s =
       s.learnt
   | Config.Berkmin_age_activity ->
     let young_band = s.cfg.young_fraction *. float_of_int n in
-    Vec.iteri
+    Ivec.iteri
       (fun i c ->
         if i = n - 1 then keep.(i) <- true
           (* the topmost clause is never removed: anti-looping *)
@@ -720,7 +741,7 @@ let reduction_keeps s =
    does not have.) *)
 let rebuild_watches s =
   assert (decision_level s = 0);
-  Array.iter Vec.clear s.watches;
+  Array.iter Ivec.clear s.watches;
   let ar = s.arena in
   let reattach c =
     (* Binary clauses live in the implication index, never in watch
@@ -754,47 +775,47 @@ let rebuild_watches s =
       end
     end
   in
-  Vec.iter reattach s.original;
-  Vec.iter reattach s.learnt
+  Ivec.iter reattach s.original;
+  Ivec.iter reattach s.learnt
 
 let reduce_db s =
   if s.cfg.reduction_mode <> Config.Keep_all then begin
     let t0 = if s.cfg.profile_timers then Sys.time () else 0.0 in
     s.stats.reductions <- s.stats.reductions + 1;
-    let live_before = Vec.length s.learnt in
+    let live_before = Ivec.length s.learnt in
     let glue_kept0 = s.stats.glue_reduction_kept in
     let glue_dropped0 = s.stats.glue_reduction_dropped in
     let keep = reduction_keeps s in
     let removed = ref 0 in
-    Vec.iteri
+    Ivec.iteri
       (fun i c ->
         if not keep.(i) then begin
           incr removed;
-          log_delete s (Arena.lits_array s.arena c);
+          log_delete s c;
           Arena.free s.arena c
         end)
       s.learnt;
     if !removed > 0 then begin
       s.stats.removed_clauses <- s.stats.removed_clauses + !removed;
       (* Compact the learnt stack and its parallel glue table in
-         lockstep (order preserved, matching [Vec.filter_in_place]). *)
+         lockstep (order preserved, matching [Ivec.filter_in_place]). *)
       let j = ref 0 in
-      Vec.iteri
+      Ivec.iteri
         (fun i c ->
           if not (Arena.is_deleted s.arena c) then begin
-            Vec.set s.learnt !j c;
-            Vec.set s.learnt_glue !j (Vec.get s.learnt_glue i);
+            Ivec.set s.learnt !j c;
+            Ivec.set s.learnt_glue !j (Ivec.get s.learnt_glue i);
             incr j
           end)
         s.learnt;
-      Vec.shrink s.learnt !j;
-      Vec.shrink s.learnt_glue !j;
+      Ivec.shrink s.learnt !j;
+      Ivec.shrink s.learnt_glue !j;
       (* Indices shifted: restart the top-clause cursor from the new
          stack top. *)
-      s.top_cursor <- Vec.length s.learnt - 1;
+      s.top_cursor <- Ivec.length s.learnt - 1;
       (* Watches are about to be rebuilt; clearing them first keeps the
          GC's watcher pass trivial. *)
-      Array.iter Vec.clear s.watches;
+      Array.iter Ivec.clear s.watches;
       gc s;
       rebuild_watches s
     end;
@@ -843,19 +864,19 @@ let simplify_now s =
     end
     else begin
       let ar = s.arena in
-      let n_orig = Vec.length s.original in
-      let n_learnt = Vec.length s.learnt in
+      let n_orig = Ivec.length s.original in
+      let n_learnt = Ivec.length s.learnt in
       let clauses_before = n_orig + n_learnt in
       if s.proof <> None then
-        Vec.iter (fun l -> log_add s [| l |]) s.trail;
+        Ivec.iter (fun l -> log_add s [| l |]) s.trail;
       (* Learnt-clause metadata survives the round trip via the tag:
          clause [n_orig + i] carries glue [meta_glue.(i)]. *)
       let meta_glue = Array.make (max n_learnt 1) 0 in
       let meta_imported = Array.make (max n_learnt 1) false in
       let input = ref [] in
       for i = n_learnt - 1 downto 0 do
-        let c = Vec.get s.learnt i in
-        meta_glue.(i) <- Vec.get s.learnt_glue i;
+        let c = Ivec.get s.learnt i in
+        meta_glue.(i) <- Ivec.get s.learnt_glue i;
         meta_imported.(i) <- Arena.is_imported ar c;
         input :=
           { Simp.lits = Arena.lits_array ar c;
@@ -865,15 +886,15 @@ let simplify_now s =
       done;
       for i = n_orig - 1 downto 0 do
         input :=
-          { Simp.lits = Arena.lits_array ar (Vec.get s.original i);
+          { Simp.lits = Arena.lits_array ar (Ivec.get s.original i);
             tag = i;
             redundant = false }
           :: !input
       done;
       let frozen v = Array.exists (fun l -> Lit.var l = v) s.assumptions in
       let roots = ref [] in
-      for i = Vec.length s.trail - 1 downto 0 do
-        roots := Vec.get s.trail i :: !roots
+      for i = Ivec.length s.trail - 1 downto 0 do
+        roots := Ivec.get s.trail i :: !roots
       done;
       let opts = { Simp.default_opts with bve_growth = s.cfg.simplify_growth } in
       let out =
@@ -907,12 +928,12 @@ let simplify_now s =
            events: the engine already logged exactly what it dropped,
            and a re-allocated survivor has the same literals the
            checker's database entry has. *)
-        Vec.iter (fun c -> Arena.free ar c) s.original;
-        Vec.iter (fun c -> Arena.free ar c) s.learnt;
-        Vec.clear s.original;
-        Vec.clear s.learnt;
-        Vec.clear s.learnt_glue;
-        Array.iter Vec.clear s.watches;
+        Ivec.iter (fun c -> Arena.free ar c) s.original;
+        Ivec.iter (fun c -> Arena.free ar c) s.learnt;
+        Ivec.clear s.original;
+        Ivec.clear s.learnt;
+        Ivec.clear s.learnt_glue;
+        Array.iter Ivec.clear s.watches;
         Binary.clear s.binary;
         List.iter
           (fun e -> s.eliminated.(e.Simp.var) <- true)
@@ -921,10 +942,10 @@ let simplify_now s =
         let add_back ~learnt ~imported ~glue lits =
           let c = Arena.alloc ~imported ar ~learnt lits in
           if learnt then begin
-            Vec.push s.learnt c;
-            Vec.push s.learnt_glue glue
+            Ivec.push s.learnt c;
+            Ivec.push s.learnt_glue glue
           end
-          else Vec.push s.original c;
+          else Ivec.push s.original c;
           if Array.length lits = 2 then
             Binary.add s.binary ~cref:c lits.(0) lits.(1)
         in
@@ -951,15 +972,15 @@ let simplify_now s =
             | Value.Unassigned -> enqueue s l Arena.cref_undef)
           out.Simp.units;
         if out.Simp.unsat then s.ok <- false;
-        s.top_cursor <- Vec.length s.learnt - 1;
+        s.top_cursor <- Ivec.length s.learnt - 1;
         (* Compact away the freed clauses, then re-derive the watch
            invariant (long clauses attach; clauses satisfied by the new
            units stay unattached; single-survivor clauses enqueue). *)
         gc s;
         rebuild_watches s;
-        Stats.note_live_clauses s.stats (s.n_original + Vec.length s.learnt);
-        if Vec.length s.learnt > s.stats.max_learnt_live then
-          s.stats.max_learnt_live <- Vec.length s.learnt
+        Stats.note_live_clauses s.stats (s.n_original + Ivec.length s.learnt);
+        if Ivec.length s.learnt > s.stats.max_learnt_live then
+          s.stats.max_learnt_live <- Ivec.length s.learnt
       end;
       if s.tracer.Trace.active then
         Trace.emit s.tracer
@@ -971,7 +992,7 @@ let simplify_now s =
                eliminated_vars = st.Simp.eliminated_vars;
                failed_literals = st.Simp.failed_literals;
                clauses_before;
-               clauses_after = Vec.length s.original + Vec.length s.learnt;
+               clauses_after = Ivec.length s.original + Ivec.length s.learnt;
              })
     end
   end
@@ -992,7 +1013,7 @@ let clause_satisfied s c =
    index of the topmost unsatisfied clause, or [-1] when the whole
    suffix is satisfied. *)
 let scan_top_clauses s start =
-  let n = Vec.length s.learnt in
+  let n = Ivec.length s.learnt in
   let window = max 1 s.cfg.top_window in
   let found = ref [] in
   let count = ref 0 in
@@ -1001,7 +1022,7 @@ let scan_top_clauses s start =
   let i = ref start in
   while !count < window && !i >= 0 do
     incr steps;
-    let c = Vec.get s.learnt !i in
+    let c = Ivec.get s.learnt !i in
     if not (clause_satisfied s c) then begin
       if !first_unsat < 0 then first_unsat := !i;
       found := (c, n - 1 - !i) :: !found;
@@ -1019,7 +1040,7 @@ let scan_top_clauses s start =
    skipped prefix sound by construction.  [debug_top_cursor] replays
    the naive full scan and insists on identical picks. *)
 let find_top_clauses s =
-  let n = Vec.length s.learnt in
+  let n = Ivec.length s.learnt in
   if s.top_cursor >= n then s.top_cursor <- n - 1;
   let found, first_unsat, steps = scan_top_clauses s s.top_cursor in
   s.top_cursor <- first_unsat;
@@ -1047,7 +1068,8 @@ let most_active_free_var s =
       if Var_heap.is_empty h then None
       else begin
         let v = Var_heap.pop_max h in
-        if Value.is_assigned s.assigns.(v) || s.eliminated.(v) then pop ()
+        if lit_value s (Lit.pos v) <> Value.Unassigned || s.eliminated.(v)
+        then pop ()
         else Some v
       end
     in
@@ -1057,7 +1079,7 @@ let most_active_free_var s =
     let best_act = ref neg_infinity in
     for v = 0 to s.nvars - 1 do
       if
-        (not (Value.is_assigned s.assigns.(v)))
+        lit_value s (Lit.pos v) = Value.Unassigned
         && (not s.eliminated.(v))
         && s.var_act.(v) > !best_act
       then begin
@@ -1072,7 +1094,7 @@ let best_vsids_literal s =
   let best_act = ref neg_infinity in
   for l = 0 to (2 * s.nvars) - 1 do
     if
-      (not (Value.is_assigned s.assigns.(Lit.var l)))
+      lit_value s l = Value.Unassigned
       && (not s.eliminated.(Lit.var l))
       && s.vsids.(l) > !best_act
     then begin
@@ -1104,13 +1126,12 @@ let bin_degree s l =
   end
   else begin
     let count = ref 0 in
-    if not (Value.is_assigned s.assigns.(Lit.var l)) then begin
+    if lit_value s l = Value.Unassigned then begin
       let bs = Binary.implications s.binary (Lit.negate l) in
-      let n = Vec.length bs in
+      let n = Ivec.length bs in
       let i = ref 0 in
       while !i < n do
-        if not (Value.is_assigned s.assigns.(Lit.var (Vec.get bs !i)))
-        then incr count;
+        if lit_value s (Ivec.get bs !i) = Value.Unassigned then incr count;
         i := !i + 2
       done
     end;
@@ -1122,13 +1143,13 @@ let bin_degree s l =
 let nb_two s l =
   let threshold = s.cfg.nb_two_threshold in
   let total = ref 0 in
-  if not (Value.is_assigned s.assigns.(Lit.var l)) then begin
+  if lit_value s l = Value.Unassigned then begin
     let bs = Binary.implications s.binary (Lit.negate l) in
-    let n = Vec.length bs in
+    let n = Ivec.length bs in
     let i = ref 0 in
     while !total <= threshold && !i < n do
-      let u = Vec.get bs !i in
-      if not (Value.is_assigned s.assigns.(Lit.var u)) then
+      let u = Ivec.get bs !i in
+      if lit_value s u = Value.Unassigned then
         total := !total + 1 + bin_degree s (Lit.negate u);
       i := !i + 2
     done
@@ -1254,12 +1275,12 @@ let decide s =
     let l = s.assumptions.(decision_level s) in
     match lit_value s l with
     | Value.True ->
-      Vec.push s.trail_lim (Vec.length s.trail);
+      Ivec.push s.trail_lim (Ivec.length s.trail);
       `Continue
     | Value.False -> `Assumption_failed l
     | Value.Unassigned ->
       s.stats.decisions <- s.stats.decisions + 1;
-      Vec.push s.trail_lim (Vec.length s.trail);
+      Ivec.push s.trail_lim (Ivec.length s.trail);
       enqueue s l Arena.cref_undef;
       if s.tracer.Trace.active then
         Trace.emit s.tracer
@@ -1292,7 +1313,7 @@ let decide s =
       (match s.on_decision with
       | Some hook -> hook v value
       | None -> ());
-      Vec.push s.trail_lim (Vec.length s.trail);
+      Ivec.push s.trail_lim (Ivec.length s.trail);
       enqueue s (Lit.make v value) Arena.cref_undef;
       if s.tracer.Trace.active then
         Trace.emit s.tracer
@@ -1302,13 +1323,18 @@ let decide s =
 (* Failed-core extraction: the assumption literal [false_lit] is
    falsified by the current trail; walk the implication graph back to
    the decisions (all of which are assumptions, since only assumption
-   levels exist below the failure point) that force it. *)
+   levels exist below the failure point) that force it.  Only literals
+   above level 0 are ever marked, so the walk stops where level 1
+   starts; at level 0 there is nothing to walk. *)
 let analyze_final s false_lit =
   let core = ref [ false_lit ] in
   let v0 = Lit.var (Lit.negate false_lit) in
   if s.level.(v0) > 0 then s.seen.(v0) <- true;
-  for i = Vec.length s.trail - 1 downto 0 do
-    let l = Vec.get s.trail i in
+  let bottom =
+    if decision_level s = 0 then Ivec.length s.trail else Ivec.get s.trail_lim 0
+  in
+  for i = Ivec.length s.trail - 1 downto bottom do
+    let l = Ivec.get s.trail i in
     let v = Lit.var l in
     if s.seen.(v) then begin
       let r = s.reason.(v) in
@@ -1385,12 +1411,12 @@ let import_clause s ~glue lits =
             log_add s arr;
             let c = Arena.alloc ~imported:true s.arena ~learnt:true arr in
             s.stats.arena_bytes <- Arena.bytes s.arena;
-            Vec.push s.learnt c;
-            Vec.push s.learnt_glue glue;
-            s.top_cursor <- Vec.length s.learnt - 1;
-            if Vec.length s.learnt > s.stats.max_learnt_live then
-              s.stats.max_learnt_live <- Vec.length s.learnt;
-            Stats.note_live_clauses s.stats (s.n_original + Vec.length s.learnt);
+            Ivec.push s.learnt c;
+            Ivec.push s.learnt_glue glue;
+            s.top_cursor <- Ivec.length s.learnt - 1;
+            if Ivec.length s.learnt > s.stats.max_learnt_live then
+              s.stats.max_learnt_live <- Ivec.length s.learnt;
+            Stats.note_live_clauses s.stats (s.n_original + Ivec.length s.learnt);
             if Array.length arr = 2 then
               Binary.add s.binary ~cref:c arr.(0) arr.(1)
             else attach s c;
@@ -1479,16 +1505,16 @@ let create ?(config = Config.berkmin) cnf =
     nvars;
     n_original = 0;
     arena = Arena.create ~capacity:4096 ();
-    original = Vec.create ~dummy:Arena.cref_undef ();
-    learnt = Vec.create ~dummy:Arena.cref_undef ();
-    learnt_glue = Vec.create ~dummy:0 ();
-    watches = Array.init nlits (fun _ -> Vec.create ~capacity:8 ~dummy:0 ());
+    original = Ivec.create ();
+    learnt = Ivec.create ();
+    learnt_glue = Ivec.create ();
+    watches = Array.init nlits (fun _ -> Ivec.create ~capacity:8 ());
     binary = Binary.create ~num_lits:nlits;
-    assigns = Array.make (max nvars 1) Value.Unassigned;
+    vals = Array.make nlits Value.Unassigned;
     level = Array.make (max nvars 1) 0;
     reason = Array.make (max nvars 1) Arena.cref_undef;
-    trail = Vec.create ~dummy:0 ();
-    trail_lim = Vec.create ~dummy:0 ();
+    trail = Ivec.create ();
+    trail_lim = Ivec.create ();
     qhead = 0;
     bin_qhead = 0;
     top_cursor = -1;
@@ -1500,6 +1526,8 @@ let create ?(config = Config.berkmin) cnf =
     vsids = Array.make nlits 0.0;
     saved_phase = Array.make (max nvars 1) Value.Unassigned;
     seen = Array.make (max nvars 1) false;
+    level_stamp = Array.make (max nvars 1) 0;
+    glue_stamp = 0;
     heap;
     assumptions = [||];
     last_core = None;
@@ -1534,11 +1562,11 @@ let create ?(config = Config.berkmin) cnf =
           | Value.Unassigned -> enqueue s lits.(0) Arena.cref_undef)
         | 2 ->
           let c = Arena.alloc s.arena ~learnt:false lits in
-          Vec.push s.original c;
+          Ivec.push s.original c;
           Binary.add s.binary ~cref:c lits.(0) lits.(1)
         | _ ->
           let c = Arena.alloc s.arena ~learnt:false lits in
-          Vec.push s.original c;
+          Ivec.push s.original c;
           attach s c
       end)
     cnf;
@@ -1557,11 +1585,11 @@ let watch_invariant_violations s =
     let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
     Array.iteri
       (fun l ws ->
-        let n = Vec.length ws in
+        let n = Ivec.length ws in
         if n land 1 <> 0 then err "watch list of lit %d has odd length %d" l n;
         let i = ref 0 in
         while !i + 1 < n do
-          let c = Vec.get ws (!i + 1) in
+          let c = Ivec.get ws (!i + 1) in
           if c < 0 || c >= Arena.size_words ar then
             err "lit %d: cref %d out of arena bounds" l c
           else if Arena.is_deleted ar c then
@@ -1577,27 +1605,27 @@ let watch_invariant_violations s =
       s.watches;
     let count_watchers lit c =
       let ws = s.watches.(lit) in
-      let n = Vec.length ws in
+      let n = Ivec.length ws in
       let cnt = ref 0 in
       let i = ref 0 in
       while !i + 1 < n do
-        if Vec.get ws (!i + 1) = c then incr cnt;
+        if Ivec.get ws (!i + 1) = c then incr cnt;
         i := !i + 2
       done;
       !cnt
     in
     let count_binary_entries lit c =
       let bs = Binary.implications s.binary lit in
-      let n = Vec.length bs in
+      let n = Ivec.length bs in
       let cnt = ref 0 in
       let i = ref 0 in
       while !i + 1 < n do
-        if Vec.get bs (!i + 1) = c then incr cnt;
+        if Ivec.get bs (!i + 1) = c then incr cnt;
         i := !i + 2
       done;
       !cnt
     in
-    let bcp_done = decision_level s = 0 && s.qhead = Vec.length s.trail in
+    let bcp_done = decision_level s = 0 && s.qhead = Ivec.length s.trail in
     let check_clause c =
       if (not (Arena.is_deleted ar c)) && Arena.clause_size ar c = 2 then begin
         (* Binary clauses: indexed once in each direction, never
@@ -1629,8 +1657,8 @@ let watch_invariant_violations s =
         end
       end
     in
-    Vec.iter check_clause s.original;
-    Vec.iter check_clause s.learnt;
+    Ivec.iter check_clause s.original;
+    Ivec.iter check_clause s.learnt;
     (* Every index entry must describe a live 2-clause whose literals
        match the arena copy. *)
     Binary.iter_entries s.binary (fun src implied c ->
@@ -1647,6 +1675,13 @@ let watch_invariant_violations s =
             err "binary index: entry (%d -> %d) does not match cref %d" src
               implied c
         end);
+    (* The per-literal value array holds each variable twice. *)
+    for v = 0 to s.nvars - 1 do
+      let p = lit_value s (Lit.pos v) and n = lit_value s (Lit.neg_of v) in
+      if not (Value.equal p (Value.negate n)) then
+        err "var %d: literal values %s/%s are not complementary" v
+          (Value.to_string p) (Value.to_string n)
+    done;
     List.rev !errs
   end
 
@@ -1663,11 +1698,11 @@ let over_budget s budget started =
   | None -> false
 
 let extract_model s =
-  (* [assigns] is padded to length >= 1 even for empty formulas, so
+  (* [vals] is padded to length >= 1 even for empty formulas, so
      build the model from the true variable count. *)
   let m =
     Array.init s.nvars (fun v ->
-        match s.assigns.(v) with
+        match lit_value s (Lit.pos v) with
         | Value.True -> true
         | Value.False -> false
         | Value.Unassigned ->
@@ -1713,7 +1748,7 @@ let search s budget =
                  conflict_no = s.stats.conflicts;
                  decisions = s.stats.decisions;
                  propagations = s.stats.propagations;
-                 learnt_live = Vec.length s.learnt;
+                 learnt_live = Ivec.length s.learnt;
                  seconds = Sys.time () -. started;
                })
       end;
@@ -1879,10 +1914,9 @@ let ensure_var_capacity s n =
     Array.blit a 0 b 0 (Array.length a);
     b
   in
-  let vcap = Array.length s.assigns in
+  let vcap = Array.length s.level in
   if n > vcap then begin
     let cap = max n (2 * vcap) in
-    s.assigns <- grow_arr s.assigns Value.Unassigned cap;
     s.level <- grow_arr s.level 0 cap;
     s.reason <- grow_arr s.reason Arena.cref_undef cap;
     s.seen <- grow_arr s.seen false cap;
@@ -1893,6 +1927,7 @@ let ensure_var_capacity s n =
   let lcap = Array.length s.lit_act in
   if 2 * n > lcap then begin
     let cap = max (2 * n) (2 * lcap) in
+    s.vals <- grow_arr s.vals Value.Unassigned cap;
     s.lit_act <- grow_arr s.lit_act 0 cap;
     s.vsids <- grow_arr s.vsids 0.0 cap;
     s.nb_memo <- grow_arr s.nb_memo 0 cap;
@@ -1900,7 +1935,7 @@ let ensure_var_capacity s n =
     let watches =
       Array.init cap (fun i ->
           if i < Array.length s.watches then s.watches.(i)
-          else Vec.create ~capacity:8 ~dummy:0 ())
+          else Ivec.create ~capacity:8 ())
     in
     s.watches <- watches
   end
@@ -1964,16 +1999,16 @@ let add_clause s lits =
           | [ l ] -> enqueue s l Arena.cref_undef
           | [ a; b ] ->
             let c = Arena.alloc s.arena ~learnt:false [| a; b |] in
-            Vec.push s.original c;
+            Ivec.push s.original c;
             Binary.add s.binary ~cref:c a b;
             s.stats.arena_bytes <- Arena.bytes s.arena;
-            Stats.note_live_clauses s.stats (s.n_original + Vec.length s.learnt)
+            Stats.note_live_clauses s.stats (s.n_original + Ivec.length s.learnt)
           | rem ->
             let c = Arena.alloc s.arena ~learnt:false (Array.of_list rem) in
-            Vec.push s.original c;
+            Ivec.push s.original c;
             attach s c;
             s.stats.arena_bytes <- Arena.bytes s.arena;
-            Stats.note_live_clauses s.stats (s.n_original + Vec.length s.learnt)
+            Stats.note_live_clauses s.stats (s.n_original + Ivec.length s.learnt)
         end
       end
     end
@@ -2054,7 +2089,7 @@ let load ?config source =
     declare_vars vars;
     Arena.ensure_capacity s.arena
       ~words:(Arena.capacity_words s.arena + (clauses * presize_clause_words));
-    Vec.reserve s.original clauses
+    Ivec.reserve s.original clauses
   in
   let (), scratch_words =
     Dimacs.fold_clauses_scratch ~on_header source ~init:()
@@ -2080,7 +2115,7 @@ let load ?config source =
             | Value.Unassigned -> enqueue s lits.(0) Arena.cref_undef)
           | 2 ->
             let c = Arena.alloc_sub s.arena ~learnt:false lits ~len:2 in
-            Vec.push s.original c;
+            Ivec.push s.original c;
             Binary.add s.binary ~cref:c lits.(0) lits.(1)
           | _ ->
             (* Attachment is deferred: pushing two watchers per clause
@@ -2088,15 +2123,15 @@ let load ?config source =
                streaming is the bulk path's hottest cost.  The arena
                already holds everything a later pass needs. *)
             let c = Arena.alloc_sub s.arena ~learnt:false lits ~len:m in
-            Vec.push s.original c
+            Ivec.push s.original c
         end)
   in
   (* Bulk attachment, clause order preserved so the watch lists come
      out element-for-element identical to [create]'s: one sequential
-     pass counts watchers per literal, [Vec.reserve] sizes every list
+     pass counts watchers per literal, [Ivec.reserve] sizes every list
      exactly, and the attach pass then never reallocates. *)
   let counts = Array.make (2 * s.nvars) 0 in
-  Vec.iter
+  Ivec.iter
     (fun c ->
       if Arena.clause_size s.arena c >= 3 then begin
         (* each watcher is two ints: blocker + cref *)
@@ -2107,9 +2142,9 @@ let load ?config source =
     s.original;
   for l = 0 to (2 * s.nvars) - 1 do
     if counts.(l) > 0 then
-      Vec.reserve s.watches.(l) (Vec.length s.watches.(l) + counts.(l))
+      Ivec.reserve s.watches.(l) (Ivec.length s.watches.(l) + counts.(l))
   done;
-  Vec.iter
+  Ivec.iter
     (fun c -> if Arena.clause_size s.arena c >= 3 then attach s c)
     s.original;
   s.stats.arena_bytes <- Arena.bytes s.arena;
@@ -2239,7 +2274,7 @@ let metrics s =
       st.Stats.glue_reduction_dropped);
   int_gauge "removed_clauses" (fun () -> st.Stats.removed_clauses);
   int_gauge "max_live_clauses" (fun () -> st.Stats.max_live_clauses);
-  int_gauge "learnt_live" (fun () -> Vec.length s.learnt);
+  int_gauge "learnt_live" (fun () -> Ivec.length s.learnt);
   int_gauge "original_clauses" (fun () -> s.n_original);
   int_gauge "decision_level" (fun () -> decision_level s);
   int_gauge "old_activity_threshold" (fun () -> s.old_threshold);

@@ -268,9 +268,10 @@ val watch_invariant_violations : t -> string list
     at all only when it is satisfied at level 0; when called at
     decision level 0 with no pending propagations, both watches of
     every unsatisfied clause are non-false; every live 2-clause is
-    indexed exactly once in each direction and never watched; and
-    every index entry matches a live 2-clause in the arena.
-    O(database size); for tests. *)
+    indexed exactly once in each direction and never watched; every
+    index entry matches a live 2-clause in the arena; and the two
+    literals of every variable are both unassigned or hold opposite
+    values.  O(database size); for tests. *)
 
 val check_model : Cnf.t -> bool array -> bool
 (** [check_model cnf m] re-evaluates the formula under [m]. *)

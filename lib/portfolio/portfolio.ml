@@ -367,12 +367,20 @@ let fork_race ?wall_timeout ?worker_hook ?trace_jsonl specs cnf =
     (try Unix.close w.l_down with Unix.Unix_error _ -> ());
     remaining := List.filter (fun o -> o.l_index <> w.l_index) !remaining
   in
+  (* A worker that is already gone when the race ends died on its own:
+     its exit status says how, unless it exited cleanly (its reply is
+     still unread in the pipe), which [status] describes.  [waitpid]
+     with [WNOHANG] reports pid 0 for a worker still running. *)
   let kill_remaining status ws =
     List.iter
       (fun w ->
-        kill_quietly w.l_pid;
-        ignore (waitpid_retry w.l_pid);
-        finish w status None)
+        match Unix.waitpid [ Unix.WNOHANG ] w.l_pid with
+        | 0, _ ->
+          kill_quietly w.l_pid;
+          ignore (waitpid_retry w.l_pid);
+          finish w status None
+        | _, Unix.WEXITED 0 -> finish w status None
+        | _, st -> finish w (crash_status st) None)
       ws
   in
   let deadline = Option.map (fun t -> started +. t) wall_timeout in

@@ -138,9 +138,9 @@ type state = {
   frozen : int -> bool;
   proof : Drup.event -> unit;
   db : cl Vec.t;
-  occ : int Vec.t array;  (* per literal: clause ids, lazily filtered *)
+  occ : Ivec.t array;  (* per literal: clause ids, lazily filtered *)
   assign : Value.t array;
-  queue : Lit.t Vec.t;  (* pending unit propagations *)
+  queue : Ivec.t;  (* literals: pending unit propagations *)
   mutable qhead : int;
   eliminated : bool array;
   mutable unsat : bool;
@@ -162,7 +162,7 @@ let lit_value t l =
   else Value.True
 
 let occ_push t id lits =
-  Array.iter (fun l -> Vec.push t.occ.(l) id) lits
+  Array.iter (fun l -> Ivec.push t.occ.(l) id) lits
 
 let add_internal t ~red ~tag lits =
   let id = Vec.length t.db in
@@ -198,7 +198,7 @@ let push_unit t l =
     t.units_out <- l :: t.units_out;
     t.assign.(Lit.var l) <-
       (if Lit.is_pos l then Value.True else Value.False);
-    Vec.push t.queue l
+    Ivec.push t.queue l
 
 (* Seed an already-established fact (level-0 trail literal): assigned
    and propagated, but neither emitted nor reported back. *)
@@ -209,7 +209,7 @@ let seed_root t l =
   | Value.Unassigned ->
     t.assign.(Lit.var l) <-
       (if Lit.is_pos l then Value.True else Value.False);
-    Vec.push t.queue l
+    Ivec.push t.queue l
 
 (* Rewrite [c] under the current assignment: delete it when satisfied,
    strip false literals otherwise (emitting Add(short)/Delete(long)).
@@ -254,15 +254,15 @@ let clean_clause t c =
   end
 
 let propagate t =
-  while (not t.unsat) && t.qhead < Vec.length t.queue do
-    let l = Vec.get t.queue t.qhead in
+  while (not t.unsat) && t.qhead < Ivec.length t.queue do
+    let l = Ivec.get t.queue t.qhead in
     t.qhead <- t.qhead + 1;
     (* Clauses containing l are satisfied; clauses containing ¬l lose
        a literal.  Both directions are handled by [clean_clause]. *)
     let touch lit =
       let v = t.occ.(lit) in
-      for i = 0 to Vec.length v - 1 do
-        if not t.unsat then clean_clause t (Vec.get t.db (Vec.get v i))
+      for i = 0 to Ivec.length v - 1 do
+        if not t.unsat then clean_clause t (Vec.get t.db (Ivec.get v i))
       done
     in
     touch l;
@@ -279,7 +279,7 @@ let rarest_occ t c =
   let best = ref c.lits.(0) in
   Array.iter
     (fun l ->
-      if Vec.length t.occ.(l) < Vec.length t.occ.(!best) then best := l)
+      if Ivec.length t.occ.(l) < Ivec.length t.occ.(!best) then best := l)
     c.lits;
   t.occ.(!best)
 
@@ -320,8 +320,8 @@ let subsume_round t =
       (* Plain subsumption: C ⊆ D deletes D. *)
       let v = rarest_occ t c in
       let k = ref 0 in
-      while !k < Vec.length v && c.live do
-        let j = Vec.get v !k in
+      while !k < Ivec.length v && c.live do
+        let j = Ivec.get v !k in
         incr k;
         t.subsume_spent <- t.subsume_spent + 1;
         if j >= 0 && j <> !i then begin
@@ -360,8 +360,8 @@ let subsume_round t =
       do
         let v = t.occ.(Lit.negate c.lits.(!li)) in
         let k = ref 0 in
-        while !k < Vec.length v && c.live do
-          let j = Vec.get v !k in
+        while !k < Ivec.length v && c.live do
+          let j = Ivec.get v !k in
           incr k;
           t.subsume_spent <- t.subsume_spent + 1;
           if j >= 0 && j <> !i then begin
@@ -382,7 +382,7 @@ let subsume_round t =
       done
     end;
     incr i;
-    if not (Vec.is_empty t.queue) then propagate t
+    if not (Ivec.is_empty t.queue) then propagate t
   done;
   propagate t;
   t.st.subsumed + t.st.strengthened > before
@@ -415,7 +415,7 @@ let probe_round t =
       t.db;
     if !edges > 0 then begin
       let mark = Array.make nlits (-1) in
-      let stack = Vec.create ~dummy:0 () in
+      let stack = Ivec.create () in
       let l = ref 0 in
       while !l < nlits && not !continue_ do
         if
@@ -424,19 +424,19 @@ let probe_round t =
           && t.probe_spent < t.opts.probe_budget
         then begin
           (* DFS of the implications of assuming [l]. *)
-          Vec.clear stack;
-          Vec.push stack !l;
+          Ivec.clear stack;
+          Ivec.push stack !l;
           mark.(!l) <- !l;
           let failed = ref false in
-          while (not !failed) && not (Vec.is_empty stack) do
-            let u = Vec.pop stack in
+          while (not !failed) && not (Ivec.is_empty stack) do
+            let u = Ivec.pop stack in
             List.iter
               (fun w ->
                 t.probe_spent <- t.probe_spent + 1;
                 if mark.(Lit.negate w) = !l then failed := true
                 else if mark.(w) <> !l then begin
                   mark.(w) <- !l;
-                  Vec.push stack w
+                  Ivec.push stack w
                 end)
               adj.(u)
           done;
@@ -502,8 +502,8 @@ let resolve_on v a b =
 let occurrences t l =
   let out = ref [] in
   let v = t.occ.(l) in
-  for i = Vec.length v - 1 downto 0 do
-    let j = Vec.get v i in
+  for i = Ivec.length v - 1 downto 0 do
+    let j = Ivec.get v i in
     if j >= 0 then begin
       let c = Vec.get t.db j in
       if c.live && (not c.red) && Array.exists (fun x -> x = l) c.lits then
@@ -569,8 +569,8 @@ let eliminate_round t =
            List.iter
              (fun l ->
                let occ = t.occ.(l) in
-               for i = 0 to Vec.length occ - 1 do
-                 let j = Vec.get occ i in
+               for i = 0 to Ivec.length occ - 1 do
+                 let j = Ivec.get occ i in
                  if j >= 0 then begin
                    let c = Vec.get t.db j in
                    if c.live && Array.exists (fun x -> Lit.var x = var) c.lits
@@ -614,9 +614,9 @@ let run ?(opts = default_opts) ~nvars ~frozen ~roots ~proof clauses =
         Vec.create
           ~dummy:{ lits = [||]; live = false; red = false; sg = 0; tag = -1 }
           ();
-      occ = Array.init (max (2 * nvars) 1) (fun _ -> Vec.create ~dummy:0 ());
+      occ = Array.init (max (2 * nvars) 1) (fun _ -> Ivec.create ());
       assign = Array.make (max nvars 1) Value.Unassigned;
-      queue = Vec.create ~dummy:0 ();
+      queue = Ivec.create ();
       qhead = 0;
       eliminated = Array.make (max nvars 1) false;
       unsat = false;

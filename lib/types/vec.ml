@@ -33,13 +33,6 @@ let grow v =
   Array.blit v.data 0 data 0 v.len;
   v.data <- data
 
-let reserve v n =
-  if n > Array.length v.data then begin
-    let data = Array.make n v.dummy in
-    Array.blit v.data 0 data 0 v.len;
-    v.data <- data
-  end
-
 let push v x =
   if v.len = Array.length v.data then grow v;
   Array.unsafe_set v.data v.len x;

@@ -1,9 +1,12 @@
-(** Growable array.
+(** Growable array of boxed values.
 
-    OCaml 5.1 predates [Dynarray]; solvers need amortised O(1) push and
-    random access for watch lists, trails and clause databases, so we
-    provide a small polymorphic vector.  A dummy element is supplied at
-    creation to fill unused capacity (this avoids [Obj.magic]). *)
+    OCaml 5.1 predates [Dynarray]; CNF clause lists, circuit nodes,
+    proof events and the simplifier's clause records need amortised
+    O(1) push and random access, so we provide a small polymorphic
+    vector.  A dummy element is supplied at creation to fill unused
+    capacity (this avoids [Obj.magic]).  Vectors of [int]s — literals,
+    crefs, counters — use {!Ivec}, whose stores skip the write
+    barrier. *)
 
 type 'a t
 
@@ -28,12 +31,6 @@ val get : 'a t -> int -> 'a
 
 val set : 'a t -> int -> 'a -> unit
 (** @raise Invalid_argument when out of bounds. *)
-
-val reserve : 'a t -> int -> unit
-(** [reserve v n] grows the backing array to hold at least [n] elements
-    without changing the length, so the next [n - length v] pushes
-    never reallocate.  A no-op when capacity already suffices; bulk
-    loaders use it to size watch lists exactly. *)
 
 val push : 'a t -> 'a -> unit
 

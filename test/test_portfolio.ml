@@ -56,6 +56,57 @@ let test_sequential_equivalence () =
     (result_kind outcome'.Portfolio.result)
 
 (* ------------------------------------------------------------------ *)
+(* Forked races with a fixed order of events.                          *)
+
+(* Poll [f] every millisecond until it holds or [seconds] pass. *)
+let wait_until ~seconds f =
+  let deadline = Unix.gettimeofday () +. seconds in
+  while (not (f ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done
+
+(* The process state letter of /proc/<pid>/stat ("Z" for a zombie):
+   the field after the parenthesised command name.  [None] once the
+   process is gone. *)
+let proc_state pid =
+  let path = Printf.sprintf "/proc/%d/stat" pid in
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error _ -> None
+  | stat -> (
+    match String.rindex_opt stat ')' with
+    | Some i when i + 2 < String.length stat -> Some stat.[i + 2]
+    | Some _ | None -> None)
+
+(* A two-worker race in which worker [dies] publishes its pid (by an
+   atomic rename), then runs [hook], and the other worker starts
+   solving only once /proc shows [dies] a zombie or gone (waiting at
+   most 10 s).  The survivor's win then always comes after the other
+   worker's end, however the processes are scheduled. *)
+let race_after_death ~dies hook specs cnf =
+  let pid_file = Filename.temp_file "race" ".pid" in
+  Sys.remove pid_file;
+  let worker_hook i =
+    if i = dies then begin
+      let tmp = pid_file ^ ".tmp" in
+      Out_channel.with_open_text tmp (fun oc ->
+          output_string oc (string_of_int (Unix.getpid ())));
+      Sys.rename tmp pid_file
+    end
+    else
+      wait_until ~seconds:10.0 (fun () ->
+          match In_channel.with_open_text pid_file In_channel.input_all with
+          | exception Sys_error _ -> false
+          | pid -> (
+            match proc_state (int_of_string pid) with
+            | Some 'Z' | None -> true
+            | Some _ -> false));
+    hook i
+  in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove pid_file with Sys_error _ -> ())
+    (fun () -> Portfolio.solve_specs ~worker_hook specs cnf)
+
+(* ------------------------------------------------------------------ *)
 (* A race whose winner is forced: one worker is budget-starved to     *)
 (* Unknown, so the other must deliver the verdict.                     *)
 
@@ -70,7 +121,7 @@ let test_known_winner () =
   let able =
     { Portfolio.sp_config = Config.berkmin; sp_budget = Solver.no_budget }
   in
-  let outcome = Portfolio.solve_specs [ starved; able ] cnf in
+  let outcome = race_after_death ~dies:0 ignore [ starved; able ] cnf in
   check Alcotest.string "UNSAT wins" "UNSAT"
     (result_kind outcome.Portfolio.result);
   check (Alcotest.option Alcotest.int) "worker 1 wins" (Some 1)
@@ -101,8 +152,9 @@ let test_sat_race_agrees_with_sequential () =
 let test_crash_injection () =
   let cnf = hole 6 in
   let spec = { Portfolio.sp_config = Config.berkmin; sp_budget = Solver.no_budget } in
-  let hook i = if i = 0 then exit 2 in
-  let outcome = Portfolio.solve_specs ~worker_hook:hook [ spec; spec ] cnf in
+  let outcome =
+    race_after_death ~dies:0 (fun i -> if i = 0 then exit 2) [ spec; spec ] cnf
+  in
   check Alcotest.string "survivor's verdict" "UNSAT"
     (result_kind outcome.Portfolio.result);
   check (Alcotest.option Alcotest.int) "worker 1 wins" (Some 1)
@@ -117,8 +169,11 @@ let test_crash_injection () =
 let test_sigkill_injection () =
   let cnf = hole 6 in
   let spec = { Portfolio.sp_config = Config.berkmin; sp_budget = Solver.no_budget } in
-  let hook i = if i = 1 then Unix.kill (Unix.getpid ()) Sys.sigkill in
-  let outcome = Portfolio.solve_specs ~worker_hook:hook [ spec; spec ] cnf in
+  let outcome =
+    race_after_death ~dies:1 (fun i ->
+        if i = 1 then Unix.kill (Unix.getpid ()) Sys.sigkill)
+      [ spec; spec ] cnf
+  in
   check Alcotest.string "survivor's verdict" "UNSAT"
     (result_kind outcome.Portfolio.result);
   check (Alcotest.option Alcotest.int) "worker 0 wins" (Some 0)

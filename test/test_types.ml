@@ -1,5 +1,5 @@
 (* Unit and property tests for the base types library: Lit, Value, Vec,
-   Rng, Clause, Cnf. *)
+   Ivec, Rng, Clause, Cnf. *)
 
 open Berkmin_types
 
@@ -65,37 +65,112 @@ let test_value () =
   check Alcotest.bool "is_assigned t" true (Value.is_assigned Value.True)
 
 (* ------------------------------------------------------------------ *)
-(* Vec                                                                 *)
+(* Vec and Ivec                                                        *)
 
-let test_vec_push_pop () =
-  let v = Vec.create ~dummy:(-1) () in
-  check Alcotest.bool "empty" true (Vec.is_empty v);
-  for i = 0 to 99 do
-    Vec.push v i
-  done;
-  check Alcotest.int "length" 100 (Vec.length v);
-  check Alcotest.int "get 42" 42 (Vec.get v 42);
-  check Alcotest.int "last" 99 (Vec.last v);
-  check Alcotest.int "pop" 99 (Vec.pop v);
-  check Alcotest.int "length after pop" 99 (Vec.length v)
+(* The int-vector contract both [Vec] (at type [int]) and [Ivec] keep,
+   bounds messages included: the shared cases below run over each. *)
+module type INT_VEC = sig
+  type t
 
-let test_vec_bounds () =
-  let v = Vec.of_list [ 1; 2; 3 ] ~dummy:0 in
-  Alcotest.check_raises "get oob"
-    (Invalid_argument "Vec.get: index 3 out of bounds [0,3)") (fun () ->
-      ignore (Vec.get v 3));
-  Alcotest.check_raises "set oob"
-    (Invalid_argument "Vec.set: index -1 out of bounds [0,3)") (fun () ->
-      Vec.set v (-1) 9)
+  val name : string
+  val create : unit -> t
+  val of_list : int list -> t
+  val length : t -> int
+  val is_empty : t -> bool
+  val get : t -> int -> int
+  val set : t -> int -> int -> unit
+  val push : t -> int -> unit
+  val pop : t -> int
+  val last : t -> int
+  val clear : t -> unit
+  val shrink : t -> int -> unit
+  val filter_in_place : (int -> bool) -> t -> unit
+  val to_list : t -> int list
+end
 
-let test_vec_shrink_clear () =
-  let v = Vec.of_list [ 1; 2; 3; 4; 5 ] ~dummy:0 in
-  Vec.shrink v 2;
-  check (Alcotest.list Alcotest.int) "shrink" [ 1; 2 ] (Vec.to_list v);
-  Vec.clear v;
-  check Alcotest.int "clear" 0 (Vec.length v);
-  Vec.push v 7;
-  check (Alcotest.list Alcotest.int) "push after clear" [ 7 ] (Vec.to_list v)
+module Poly_vec : INT_VEC = struct
+  include Vec
+
+  type nonrec t = int t
+
+  let name = "Vec"
+  let create () = Vec.create ~dummy:(-1) ()
+  let of_list l = Vec.of_list l ~dummy:0
+end
+
+module Int_vec : INT_VEC = struct
+  include Ivec
+
+  let name = "Ivec"
+  let create () = Ivec.create ()
+end
+
+module Vec_cases (V : INT_VEC) = struct
+  let test_push_pop () =
+    let v = V.create () in
+    check Alcotest.bool "empty" true (V.is_empty v);
+    for i = 0 to 99 do
+      V.push v i
+    done;
+    check Alcotest.int "length" 100 (V.length v);
+    check Alcotest.int "get 42" 42 (V.get v 42);
+    check Alcotest.int "last" 99 (V.last v);
+    check Alcotest.int "pop" 99 (V.pop v);
+    check Alcotest.int "length after pop" 99 (V.length v)
+
+  let test_bounds () =
+    let v = V.of_list [ 1; 2; 3 ] in
+    Alcotest.check_raises "get oob"
+      (Invalid_argument (V.name ^ ".get: index 3 out of bounds [0,3)"))
+      (fun () -> ignore (V.get v 3));
+    Alcotest.check_raises "set oob"
+      (Invalid_argument (V.name ^ ".set: index -1 out of bounds [0,3)"))
+      (fun () -> V.set v (-1) 9)
+
+  let test_shrink_clear () =
+    let v = V.of_list [ 1; 2; 3; 4; 5 ] in
+    V.shrink v 2;
+    check (Alcotest.list Alcotest.int) "shrink" [ 1; 2 ] (V.to_list v);
+    V.clear v;
+    check Alcotest.int "clear" 0 (V.length v);
+    V.push v 7;
+    check (Alcotest.list Alcotest.int) "push after clear" [ 7 ] (V.to_list v)
+
+  let test_filter_in_place () =
+    let v = V.of_list [ 1; 2; 3; 4; 5; 6 ] in
+    V.filter_in_place (fun x -> x mod 2 = 0) v;
+    check (Alcotest.list Alcotest.int) "filter keeps order" [ 2; 4; 6 ]
+      (V.to_list v)
+
+  let prop_model =
+    (* Push/pop behaves like a list model under a random op script. *)
+    QCheck.Test.make
+      ~name:(String.lowercase_ascii V.name ^ ": list model")
+      ~count:300
+      QCheck.(list (pair bool small_int))
+      (fun ops ->
+        let v = V.create () in
+        let model = ref [] in
+        List.iter
+          (fun (is_push, x) ->
+            if is_push then begin
+              V.push v x;
+              model := x :: !model
+            end
+            else if not (V.is_empty v) then begin
+              let got = V.pop v in
+              match !model with
+              | top :: rest ->
+                if got <> top then QCheck.Test.fail_report "pop mismatch";
+                model := rest
+              | [] -> QCheck.Test.fail_report "model empty"
+            end)
+          ops;
+        V.to_list v = List.rev !model)
+end
+
+module Vec_tests = Vec_cases (Poly_vec)
+module Ivec_tests = Vec_cases (Int_vec)
 
 let test_vec_swap_remove () =
   let v = Vec.of_list [ 10; 20; 30; 40 ] ~dummy:0 in
@@ -106,12 +181,6 @@ let test_vec_swap_remove () =
   check (Alcotest.list Alcotest.int) "swap_remove last" [ 10; 40 ]
     (Vec.to_list v)
 
-let test_vec_filter_in_place () =
-  let v = Vec.of_list [ 1; 2; 3; 4; 5; 6 ] ~dummy:0 in
-  Vec.filter_in_place (fun x -> x mod 2 = 0) v;
-  check (Alcotest.list Alcotest.int) "filter keeps order" [ 2; 4; 6 ]
-    (Vec.to_list v)
-
 let test_vec_iterators () =
   let v = Vec.of_list [ 1; 2; 3 ] ~dummy:0 in
   check Alcotest.int "fold sum" 6 (Vec.fold ( + ) 0 v);
@@ -120,30 +189,6 @@ let test_vec_iterators () =
   let acc = ref [] in
   Vec.iteri (fun i x -> acc := (i, x) :: !acc) v;
   check Alcotest.int "iteri count" 3 (List.length !acc)
-
-let prop_vec_model =
-  (* Vec push/pop behaves like a list model under a random op script. *)
-  QCheck.Test.make ~name:"vec: list model" ~count:300
-    QCheck.(list (pair bool small_int))
-    (fun ops ->
-      let v = Vec.create ~dummy:(-1) () in
-      let model = ref [] in
-      List.iter
-        (fun (is_push, x) ->
-          if is_push then begin
-            Vec.push v x;
-            model := x :: !model
-          end
-          else if not (Vec.is_empty v) then begin
-            let got = Vec.pop v in
-            match !model with
-            | top :: rest ->
-              if got <> top then QCheck.Test.fail_report "pop mismatch";
-              model := rest
-            | [] -> QCheck.Test.fail_report "model empty"
-          end)
-        ops;
-      Vec.to_list v = List.rev !model)
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
@@ -327,13 +372,23 @@ let () =
       ("value", [ Alcotest.test_case "basics" `Quick test_value ]);
       ( "vec",
         [
-          Alcotest.test_case "push/pop" `Quick test_vec_push_pop;
-          Alcotest.test_case "bounds" `Quick test_vec_bounds;
-          Alcotest.test_case "shrink/clear" `Quick test_vec_shrink_clear;
+          Alcotest.test_case "push/pop" `Quick Vec_tests.test_push_pop;
+          Alcotest.test_case "bounds" `Quick Vec_tests.test_bounds;
+          Alcotest.test_case "shrink/clear" `Quick Vec_tests.test_shrink_clear;
           Alcotest.test_case "swap_remove" `Quick test_vec_swap_remove;
-          Alcotest.test_case "filter_in_place" `Quick test_vec_filter_in_place;
+          Alcotest.test_case "filter_in_place" `Quick
+            Vec_tests.test_filter_in_place;
           Alcotest.test_case "iterators" `Quick test_vec_iterators;
-          qtest prop_vec_model;
+          qtest Vec_tests.prop_model;
+        ] );
+      ( "ivec",
+        [
+          Alcotest.test_case "push/pop" `Quick Ivec_tests.test_push_pop;
+          Alcotest.test_case "bounds" `Quick Ivec_tests.test_bounds;
+          Alcotest.test_case "shrink/clear" `Quick Ivec_tests.test_shrink_clear;
+          Alcotest.test_case "filter_in_place" `Quick
+            Ivec_tests.test_filter_in_place;
+          qtest Ivec_tests.prop_model;
         ] );
       ( "rng",
         [
