@@ -145,56 +145,14 @@ let run file strategy max_conflicts max_seconds proof_file stats_flag check
       | None -> config
     in
     let config =
-      match Berkmin.Config.simplify_mode_of_string simplify with
-      | Some mode -> Berkmin.Config.with_simplify mode config
-      | None ->
-        Printf.eprintf
-          "--simplify wants off, pre or inprocess (got %S)\n" simplify;
+      match
+        Berkmin.Config.with_overrides ~simplify ~simplify_growth ?ccmin
+          ?phase_saving ?restarts ?reduce config
+      with
+      | Ok config -> config
+      | Error msg ->
+        prerr_endline msg;
         exit 2
-    in
-    if simplify_growth < 0 then begin
-      Printf.eprintf "--simplify-growth must be >= 0 (got %d)\n"
-        simplify_growth;
-      exit 2
-    end;
-    let config = Berkmin.Config.with_simplify_growth simplify_growth config in
-    let config =
-      match ccmin with
-      | None -> config
-      | Some s -> (
-        match Berkmin.Config.ccmin_mode_of_string s with
-        | Some mode -> Berkmin.Config.with_ccmin mode config
-        | None ->
-          Printf.eprintf "--ccmin wants off, basic or deep (got %S)\n" s;
-          exit 2)
-    in
-    let config =
-      match phase_saving with
-      | None -> config
-      | Some b -> Berkmin.Config.with_phase_saving b config
-    in
-    let config =
-      match restarts with
-      | None -> config
-      | Some s -> (
-        match Berkmin.Config.restart_mode_of_string s with
-        | Some mode -> Berkmin.Config.with_restart_mode mode config
-        | None ->
-          Printf.eprintf
-            "--restarts wants fixed:N, luby:N or none (got %S)\n" s;
-          exit 2)
-    in
-    let config =
-      match reduce with
-      | None -> config
-      | Some s -> (
-        match Berkmin.Config.reduction_mode_of_string s with
-        | Some mode -> Berkmin.Config.with_reduction_mode mode config
-        | None ->
-          Printf.eprintf
-            "--reduce wants berkmin, length:N, glue:N or keep-all (got %S)\n"
-            s;
-          exit 2)
     in
     match Berkmin_dimacs.Dimacs.parse_file file with
     | exception Sys_error msg ->

@@ -24,55 +24,14 @@ let run socket stdio trace_file strategy max_sessions simplify ccmin
     2
   | Some config -> (
     let config =
-      match Berkmin.Config.simplify_mode_of_string simplify with
-      | Some mode -> Berkmin.Config.with_simplify mode config
-      | None ->
-        Printf.eprintf
-          "berkmin-serverd: --simplify wants off, pre or inprocess (got %S)\n"
-          simplify;
+      match
+        Berkmin.Config.with_overrides ~simplify ?ccmin ?phase_saving ?restarts
+          ?reduce config
+      with
+      | Ok config -> config
+      | Error msg ->
+        Printf.eprintf "berkmin-serverd: %s\n" msg;
         exit 2
-    in
-    let config =
-      match ccmin with
-      | None -> config
-      | Some s -> (
-        match Berkmin.Config.ccmin_mode_of_string s with
-        | Some mode -> Berkmin.Config.with_ccmin mode config
-        | None ->
-          Printf.eprintf
-            "berkmin-serverd: --ccmin wants off, basic or deep (got %S)\n" s;
-          exit 2)
-    in
-    let config =
-      match phase_saving with
-      | None -> config
-      | Some b -> Berkmin.Config.with_phase_saving b config
-    in
-    let config =
-      match restarts with
-      | None -> config
-      | Some s -> (
-        match Berkmin.Config.restart_mode_of_string s with
-        | Some mode -> Berkmin.Config.with_restart_mode mode config
-        | None ->
-          Printf.eprintf
-            "berkmin-serverd: --restarts wants fixed:N, luby:N or none \
-             (got %S)\n"
-            s;
-          exit 2)
-    in
-    let config =
-      match reduce with
-      | None -> config
-      | Some s -> (
-        match Berkmin.Config.reduction_mode_of_string s with
-        | Some mode -> Berkmin.Config.with_reduction_mode mode config
-        | None ->
-          Printf.eprintf
-            "berkmin-serverd: --reduce wants berkmin, length:N, glue:N or \
-             keep-all (got %S)\n"
-            s;
-          exit 2)
     in
     let server = Server.create ~config ~max_sessions () in
     (match trace_file with

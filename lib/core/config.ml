@@ -276,6 +276,37 @@ let reduction_mode_of_string s =
       | Some n -> Some (Glue_lbd n)
       | None -> None))
 
+let with_overrides ?simplify ?simplify_growth ?ccmin ?phase_saving ?restarts
+    ?reduce t =
+  let ( let* ) = Result.bind in
+  let mode flag wants of_string set value t =
+    match value with
+    | None -> Ok t
+    | Some s -> (
+      match of_string s with
+      | Some m -> Ok (set m t)
+      | None -> Error (Printf.sprintf "--%s wants %s (got %S)" flag wants s))
+  in
+  let* t =
+    mode "simplify" "off, pre or inprocess" simplify_mode_of_string
+      with_simplify simplify t
+  in
+  let* t =
+    match simplify_growth with
+    | Some n when n < 0 ->
+      Error (Printf.sprintf "--simplify-growth must be >= 0 (got %d)" n)
+    | Some n -> Ok (with_simplify_growth n t)
+    | None -> Ok t
+  in
+  let* t = mode "ccmin" "off, basic or deep" ccmin_mode_of_string with_ccmin ccmin t in
+  let t = Option.fold ~none:t ~some:(fun b -> with_phase_saving b t) phase_saving in
+  let* t =
+    mode "restarts" "fixed:N, luby:N or none" restart_mode_of_string
+      with_restart_mode restarts t
+  in
+  mode "reduce" "berkmin, length:N, glue:N or keep-all"
+    reduction_mode_of_string with_reduction_mode reduce t
+
 let presets = [
   "berkmin", berkmin;
   "less_sensitivity", less_sensitivity;

@@ -304,6 +304,24 @@ val reduction_mode_of_string : string -> reduction_mode option
 (** Accepts ["berkmin"], ["length:N"], ["glue:N"] (bare ["glue"] means
     glue <= 3) and ["keep-all"]. *)
 
+val with_overrides :
+  ?simplify:string ->
+  ?simplify_growth:int ->
+  ?ccmin:string ->
+  ?phase_saving:bool ->
+  ?restarts:string ->
+  ?reduce:string ->
+  t ->
+  (t, string) result
+(** The strategy and simplify flags the command-line front ends share
+    ([--simplify], [--simplify-growth], [--ccmin], [--phase-saving],
+    [--restarts], [--reduce]), applied over a preset: each value given
+    replaces the preset's, in the vocabulary of the [*_of_string]
+    functions above.  Flags are checked in that order; [Error msg]
+    describes the first bad one, e.g.
+    ["--ccmin wants off, basic or deep (got \"x\")"], for the caller to
+    print under its own program prefix. *)
+
 val name_of : t -> string
 (** Best-effort human name: matches a preset or describes the fields.
     Observability, portfolio and simplifier fields (trace, heartbeat,

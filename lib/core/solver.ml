@@ -229,6 +229,123 @@ let attach s c =
   Ivec.push w1 c
 
 (* ------------------------------------------------------------------ *)
+(* Clause intake.
+
+   Every clause enters the database through [store].  What happens
+   before it is each caller's policy:
+   - [create] and [load] normalize ([load_clause]) and never filter at
+     the root: their units are enqueued but not yet propagated;
+   - [add_clause] and [import_clause] normalize, then [root_filter]
+     against the level-0 assignment, and an empty remainder makes the
+     formula UNSAT;
+   - [record_learnt] stores the conflict clause exactly as analysis
+     ordered it (asserting literal first, backjump literal second);
+   - [simplify_now] stores the simplifier's output unwatched and
+     rebuilds the watches afterwards. *)
+
+(* Sort, dedup and tautology-check [lits.(0) .. lits.(n - 1)] in place:
+   the normalization [Clause.of_array] applies.  Returns the length of
+   the normalized prefix, or [-1] for a tautology.  Clauses are short;
+   insertion sort wins below ~32 literals and degenerate wide clauses
+   fall back to [Array.sort] on a copy. *)
+let normalize lits n =
+  if n > 32 then begin
+    let sub = Array.sub lits 0 n in
+    Array.sort Int.compare sub;
+    Array.blit sub 0 lits 0 n
+  end
+  else
+    for i = 1 to n - 1 do
+      let x = lits.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && lits.(!j) > x do
+        lits.(!j + 1) <- lits.(!j);
+        decr j
+      done;
+      lits.(!j + 1) <- x
+    done;
+  (* Sorted packed literals put the two phases of a variable next to
+     each other, so a tautology shows as adjacent distinct literals of
+     one variable. *)
+  let m = ref (if n > 0 then 1 else 0) in
+  let tautology = ref false in
+  for i = 1 to n - 1 do
+    let l = lits.(i) and prev = lits.(!m - 1) in
+    if l <> prev then begin
+      if Lit.var l = Lit.var prev then tautology := true;
+      lits.(!m) <- l;
+      incr m
+    end
+  done;
+  if !tautology then -1 else !m
+
+(* The root filter for clauses arriving between solves, at decision
+   level 0.  Returns [-1] when a literal is already true there (the
+   clause is satisfied for good); otherwise squeezes the literals false
+   at level 0 out of [lits.(0) .. lits.(m - 1)], order kept, and
+   returns the surviving length.  Those literals are false forever, so
+   the clause keeps its meaning; left in, one could take a watch that
+   BCP never revisits, since the level-0 trail may already be
+   propagated. *)
+let root_filter s lits m =
+  let rec satisfied i =
+    i < m && (lit_value s lits.(i) = Value.True || satisfied (i + 1))
+  in
+  if satisfied 0 then -1
+  else begin
+    let k = ref 0 in
+    for i = 0 to m - 1 do
+      let l = lits.(i) in
+      if lit_value s l <> Value.False then begin
+        lits.(!k) <- l;
+        incr k
+      end
+    done;
+    !k
+  end
+
+(* Store the clause [lits.(0) .. lits.(len - 1)] ([len >= 2]): allocate
+   it in the arena, push it on the original list or on the learnt stack
+   with its [glue], put it in the binary index when it has two
+   literals, attach its watches when it is longer and [watch] is set,
+   and update the size statistics ([glue] is ignored for originals).
+   Neither [glue] nor [imported] is rewrapped in an option on the way:
+   that would allocate once per learnt or loaded clause. *)
+let store s ?imported ~learnt ~glue ~watch lits len =
+  let c = Arena.alloc_sub ?imported s.arena ~learnt lits ~len in
+  if learnt then begin
+    Ivec.push s.learnt c;
+    Ivec.push s.learnt_glue glue;
+    (* The new clause tops the stack, so the top-clause cursor must
+       restart from it. *)
+    s.top_cursor <- Ivec.length s.learnt - 1;
+    if Ivec.length s.learnt > s.stats.max_learnt_live then
+      s.stats.max_learnt_live <- Ivec.length s.learnt
+  end
+  else Ivec.push s.original c;
+  if len = 2 then Binary.add s.binary ~cref:c lits.(0) lits.(1)
+  else if watch then attach s c;
+  s.stats.arena_bytes <- Arena.bytes s.arena;
+  Stats.note_live_clauses s.stats (s.n_original + Ivec.length s.learnt);
+  c
+
+(* Load-time intake of one original clause, shared by [create] and
+   [load], so both build the same database from the same formula. *)
+let load_clause s ~watch lits n =
+  let m = normalize lits n in
+  if m >= 0 then begin
+    s.n_original <- s.n_original + 1;
+    match m with
+    | 0 -> s.ok <- false
+    | 1 -> (
+      match lit_value s lits.(0) with
+      | Value.True -> ()
+      | Value.False -> s.ok <- false
+      | Value.Unassigned -> enqueue s lits.(0) Arena.cref_undef)
+    | _ -> ignore (store s ~learnt:false ~glue:0 ~watch lits m)
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Boolean constraint propagation.
 
    Binary clauses first: the implications of every assigned literal
@@ -582,22 +699,9 @@ let record_learnt s ~glue lits =
     (* Unit conflict clause: becomes a retained top-level assignment
        rather than a stored clause (Section 8). *)
     enqueue s lits.(0) Arena.cref_undef
-  else begin
-    let c = Arena.alloc s.arena ~learnt:true lits in
-    s.stats.arena_bytes <- Arena.bytes s.arena;
-    Ivec.push s.learnt c;
-    Ivec.push s.learnt_glue glue;
-    (* The new clause tops the stack and is unsatisfied (its asserting
-       literal is only enqueued below), so the top-clause cursor must
-       restart from it. *)
-    s.top_cursor <- Ivec.length s.learnt - 1;
-    if Ivec.length s.learnt > s.stats.max_learnt_live then
-      s.stats.max_learnt_live <- Ivec.length s.learnt;
-    Stats.note_live_clauses s.stats (s.n_original + Ivec.length s.learnt);
-    if Array.length lits = 2 then Binary.add s.binary ~cref:c lits.(0) lits.(1)
-    else attach s c;
-    enqueue s lits.(0) c
-  end;
+  else
+    enqueue s lits.(0)
+      (store s ~learnt:true ~glue ~watch:true lits (Array.length lits));
   match s.on_learn with
   | Some f -> f ~glue lits
   | None -> ()
@@ -939,15 +1043,10 @@ let simplify_now s =
           (fun e -> s.eliminated.(e.Simp.var) <- true)
           out.Simp.eliminated;
         s.elim_stack <- out.Simp.eliminated @ s.elim_stack;
-        let add_back ~learnt ~imported ~glue lits =
-          let c = Arena.alloc ~imported ar ~learnt lits in
-          if learnt then begin
-            Ivec.push s.learnt c;
-            Ivec.push s.learnt_glue glue
-          end
-          else Ivec.push s.original c;
-          if Array.length lits = 2 then
-            Binary.add s.binary ~cref:c lits.(0) lits.(1)
+        let add_back ?imported ~learnt ~glue lits =
+          ignore
+            (store s ?imported ~learnt ~glue ~watch:false lits
+               (Array.length lits))
         in
         List.iter
           (fun { Simp.lits; tag; redundant } ->
@@ -959,10 +1058,10 @@ let simplify_now s =
               (* [tag >= n_orig]: a learnt clause promoted to
                  irredundant by subsumption; it joins the originals and
                  leaves the reduction heuristics' reach. *)
-              add_back ~learnt:false ~imported:false ~glue:0 lits)
+              add_back ~learnt:false ~glue:0 lits)
           out.Simp.kept;
         List.iter
-          (fun lits -> add_back ~learnt:false ~imported:false ~glue:0 lits)
+          (fun lits -> add_back ~learnt:false ~glue:0 lits)
           out.Simp.resolvents;
         List.iter
           (fun l ->
@@ -978,9 +1077,9 @@ let simplify_now s =
            units stay unattached; single-survivor clauses enqueue). *)
         gc s;
         rebuild_watches s;
-        Stats.note_live_clauses s.stats (s.n_original + Ivec.length s.learnt);
-        if Ivec.length s.learnt > s.stats.max_learnt_live then
-          s.stats.max_learnt_live <- Ivec.length s.learnt
+        (* [store] noted every clause that landed; this covers an
+           outcome that kept none. *)
+        Stats.note_live_clauses s.stats (s.n_original + Ivec.length s.learnt)
       end;
       if s.tracer.Trace.active then
         Trace.emit s.tracer
@@ -1355,80 +1454,60 @@ let analyze_final s false_lit =
 (* ------------------------------------------------------------------ *)
 (* Learnt-clause import (portfolio exchange).                          *)
 
-(* Canonical dedup key: sorted literals, order- and duplicate-
-   insensitive, so the same clause relayed twice (or learnt
-   independently by two peers) lands at most once. *)
-let import_key lits =
-  let lits = List.sort_uniq Lit.compare (Array.to_list lits) in
-  String.concat "," (List.map string_of_int lits)
+(* Canonical dedup key of a normalized clause prefix: the same clause
+   relayed twice (or learnt independently by two peers), in any order
+   and with any repeats, lands at most once. *)
+let import_key lits m =
+  String.concat "," (List.init m (fun i -> string_of_int lits.(i)))
+
+(* True the first time [key] is seen. *)
+let first_import s key =
+  (not (Hashtbl.mem s.import_seen key))
+  && begin
+       Hashtbl.add s.import_seen key ();
+       true
+     end
 
 (* Adopt a clause learnt by another solver.  The clause is a logical
    consequence of the shared formula, so this is sound at any time; it
    runs at decision level 0 (any pending search state is backtracked
-   first) and reuses the mid-life [add_clause] simplification: clauses
-   satisfied at level 0 are dropped, permanently-false literals
-   filtered, units enqueued as top-level facts (with proof emission,
-   like any other level-0 derivation), binaries routed to the
-   implication index.  Landed clauses are learnt- and imported-flagged
-   in the arena and pushed onto the learnt stack, so DB reduction,
-   GC and the top-clause heuristic treat them like native learnt
-   clauses; [Stats.clauses_imported] counts only clauses that actually
-   land (post-simplification, post-dedup). *)
+   first) through the mid-life intake [add_clause] uses: normalize, then
+   the root filter; an empty remainder makes the formula UNSAT and a
+   unit becomes a top-level fact.  Unlike [add_clause], every landed
+   clause is proof-logged (it is derived, not part of the formula), and
+   foreign clauses over variables this worker does not know or has
+   eliminated are dropped: re-introducing an eliminated variable would
+   invalidate the model-reconstruction stack.  Stored clauses are
+   learnt- and imported-flagged and join the learnt stack, so DB
+   reduction, GC and the top-clause heuristic treat them like native
+   learnt clauses; [Stats.clauses_imported] counts only clauses that
+   actually land (post-simplification, post-dedup). *)
 let import_clause s ~glue lits =
   if s.ok && Array.length lits > 0 then begin
     backtrack s 0;
-    let key = import_key lits in
-    if not (Hashtbl.mem s.import_seen key) then begin
-      Hashtbl.add s.import_seen key ();
-      let sorted = List.sort_uniq Lit.compare (Array.to_list lits) in
-      let rec tautology = function
-        | a :: (b :: _ as rest) -> Lit.var a = Lit.var b || tautology rest
-        | _ -> false
-      in
-      if
-        (not (tautology sorted))
-        && (not (List.exists (fun l -> Lit.var l >= s.nvars) sorted))
-        (* Foreign clauses over variables this worker eliminated are
-           dropped: re-introducing an eliminated variable would
-           invalidate the model-reconstruction stack. *)
-        && (not (List.exists (fun l -> s.eliminated.(Lit.var l)) sorted))
-        && not (List.exists (fun l -> lit_value s l = Value.True) sorted)
-      then begin
-        let rem = List.filter (fun l -> lit_value s l <> Value.False) sorted in
-        let landed =
-          match rem with
-          | [] ->
-            log_add s [||];
-            s.ok <- false;
-            s.verdict <- Some Unsat;
-            true
-          | [ l ] ->
-            log_add s [| l |];
-            enqueue s l Arena.cref_undef;
-            true
-          | rem ->
-            let arr = Array.of_list rem in
-            log_add s arr;
-            let c = Arena.alloc ~imported:true s.arena ~learnt:true arr in
-            s.stats.arena_bytes <- Arena.bytes s.arena;
-            Ivec.push s.learnt c;
-            Ivec.push s.learnt_glue glue;
-            s.top_cursor <- Ivec.length s.learnt - 1;
-            if Ivec.length s.learnt > s.stats.max_learnt_live then
-              s.stats.max_learnt_live <- Ivec.length s.learnt;
-            Stats.note_live_clauses s.stats (s.n_original + Ivec.length s.learnt);
-            if Array.length arr = 2 then
-              Binary.add s.binary ~cref:c arr.(0) arr.(1)
-            else attach s c;
-            true
-        in
-        if landed then begin
-          s.stats.clauses_imported <- s.stats.clauses_imported + 1;
-          if s.tracer.Trace.active then
-            Trace.emit s.tracer
-              (Trace.Share
-                 { direction = Trace.S_import; size = List.length rem; glue })
-        end
+    let lits = Array.copy lits in
+    let m = normalize lits (Array.length lits) in
+    let rec foreign i =
+      i < m
+      &&
+      let v = Lit.var lits.(i) in
+      v >= s.nvars || s.eliminated.(v) || foreign (i + 1)
+    in
+    if m >= 0 && first_import s (import_key lits m) && not (foreign 0) then begin
+      let m = root_filter s lits m in
+      if m >= 0 then begin
+        log_add s (Array.sub lits 0 m);
+        (match m with
+        | 0 ->
+          s.ok <- false;
+          s.verdict <- Some Unsat
+        | 1 -> enqueue s lits.(0) Arena.cref_undef
+        | _ ->
+          ignore (store s ~imported:true ~learnt:true ~glue ~watch:true lits m));
+        s.stats.clauses_imported <- s.stats.clauses_imported + 1;
+        if s.tracer.Trace.active then
+          Trace.emit s.tracer
+            (Trace.Share { direction = Trace.S_import; size = m; glue })
       end
     end
   end
@@ -1550,27 +1629,9 @@ let create ?(config = Config.berkmin) cnf =
   } in
   Cnf.iter
     (fun clause ->
-      if not (Clause.is_tautology clause) then begin
-        let lits = Clause.to_array clause in
-        s.n_original <- s.n_original + 1;
-        match Array.length lits with
-        | 0 -> s.ok <- false
-        | 1 -> (
-          match lit_value s lits.(0) with
-          | Value.True -> ()
-          | Value.False -> s.ok <- false
-          | Value.Unassigned -> enqueue s lits.(0) Arena.cref_undef)
-        | 2 ->
-          let c = Arena.alloc s.arena ~learnt:false lits in
-          Ivec.push s.original c;
-          Binary.add s.binary ~cref:c lits.(0) lits.(1)
-        | _ ->
-          let c = Arena.alloc s.arena ~learnt:false lits in
-          Ivec.push s.original c;
-          attach s c
-      end)
+      let lits = Clause.to_array clause in
+      load_clause s ~watch:true lits (Array.length lits))
     cnf;
-  s.stats.arena_bytes <- Arena.bytes s.arena;
   Stats.note_live_clauses s.stats s.n_original;
   s
 
@@ -1855,6 +1916,7 @@ let solve_with_assumptions ?(budget = no_budget) s assumptions =
   | Some Unsat -> A_unsat
   | Some (Sat _ | Unknown) | None ->
     if not s.ok then begin
+      log_add s [||];
       s.verdict <- Some Unsat;
       A_unsat
     end
@@ -1975,41 +2037,18 @@ let add_clause s lits =
     s.verdict <- None;
     if s.ok then begin
       backtrack s 0;
-      let lits = List.sort_uniq Lit.compare lits in
-      (* Sorted packed literals put the two phases of a variable next
-         to each other, so a tautology shows as adjacent equal vars. *)
-      let rec tautology = function
-        | a :: (b :: _ as rest) -> Lit.var a = Lit.var b || tautology rest
-        | _ -> false
-      in
-      if not (tautology lits) then begin
+      let lits = Array.of_list lits in
+      let m = normalize lits (Array.length lits) in
+      if m >= 0 then begin
         s.n_original <- s.n_original + 1;
-        if not (List.exists (fun l -> lit_value s l = Value.True) lits) then begin
-          (* Unlike load time, the level-0 trail is already propagated
-             (BCP will never revisit it), so literals false at level 0
-             must be dropped now: a fresh watch on one would go stale
-             silently.  They are false forever, so this preserves the
-             clause's meaning. *)
-          let rem = List.filter (fun l -> lit_value s l <> Value.False) lits in
-          match rem with
-          | [] ->
-            log_add s [||];
-            s.ok <- false;
-            s.verdict <- Some Unsat
-          | [ l ] -> enqueue s l Arena.cref_undef
-          | [ a; b ] ->
-            let c = Arena.alloc s.arena ~learnt:false [| a; b |] in
-            Ivec.push s.original c;
-            Binary.add s.binary ~cref:c a b;
-            s.stats.arena_bytes <- Arena.bytes s.arena;
-            Stats.note_live_clauses s.stats (s.n_original + Ivec.length s.learnt)
-          | rem ->
-            let c = Arena.alloc s.arena ~learnt:false (Array.of_list rem) in
-            Ivec.push s.original c;
-            attach s c;
-            s.stats.arena_bytes <- Arena.bytes s.arena;
-            Stats.note_live_clauses s.stats (s.n_original + Ivec.length s.learnt)
-        end
+        match root_filter s lits m with
+        | -1 -> ()
+        | 0 ->
+          log_add s [||];
+          s.ok <- false;
+          s.verdict <- Some Unsat
+        | 1 -> enqueue s lits.(0) Arena.cref_undef
+        | m -> ignore (store s ~learnt:false ~glue:0 ~watch:true lits m)
       end
     end
 
@@ -2019,49 +2058,9 @@ let add_clause s lits =
    header pre-sizes every per-variable structure and the arena in one
    step, so the load loop allocates nothing but the clauses themselves;
    each clause goes from the parser's scratch buffer into the arena
-   with one [Array.blit].  The result is indistinguishable from
-   [create (Dimacs.parse_* ...)]: same normalization (sort, dedup,
-   tautology drop), same unit handling, same counters — only cheaper. *)
-
-(* Mirror [Clause.of_array]'s normalization, in place on the scratch
-   prefix.  Clauses are short; insertion sort wins below ~32 literals
-   and degenerate wide clauses fall back to [Array.sort] on a copy. *)
-let sort_lits_prefix lits n =
-  if n > 32 then begin
-    let sub = Array.sub lits 0 n in
-    Array.sort Int.compare sub;
-    Array.blit sub 0 lits 0 n
-  end
-  else
-    for i = 1 to n - 1 do
-      let x = lits.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && lits.(!j) > x do
-        lits.(!j + 1) <- lits.(!j);
-        decr j
-      done;
-      lits.(!j + 1) <- x
-    done
-
-let dedup_lits_prefix lits n =
-  if n = 0 then 0
-  else begin
-    let m = ref 1 in
-    for i = 1 to n - 1 do
-      if lits.(i) <> lits.(!m - 1) then begin
-        lits.(!m) <- lits.(i);
-        incr m
-      end
-    done;
-    !m
-  end
-
-(* Sorted and deduped, so both phases of a variable are adjacent. *)
-let sorted_prefix_tautology lits m =
-  let rec go i =
-    i + 1 < m && (Lit.var lits.(i) = Lit.var lits.(i + 1) || go (i + 1))
-  in
-  go 0
+   with one [Array.blit].  Every clause passes through [load_clause],
+   as in [create], so the result is indistinguishable from
+   [create (Dimacs.parse_* ...)]; only watch attachment is deferred. *)
 
 (* Arena pre-sizing guess: header + 4 literals per declared clause
    (generous for random 3-SAT and typical industrial width); an
@@ -2072,7 +2071,6 @@ let load ?config source =
   let t0 = Unix.gettimeofday () in
   let s = create ?config (Cnf.create ()) in
   let literals = ref 0 in
-  let stored = ref 0 in
   (* Headered files declare all variables once; headerless files grow
      them as clauses mention them (matching [Cnf.ensure_vars]). *)
   let declare_vars v =
@@ -2101,30 +2099,11 @@ let load ?config source =
           if v > !maxv then maxv := v
         done;
         declare_vars !maxv;
-        sort_lits_prefix lits n;
-        let m = dedup_lits_prefix lits n in
-        if not (sorted_prefix_tautology lits m) then begin
-          s.n_original <- s.n_original + 1;
-          incr stored;
-          match m with
-          | 0 -> s.ok <- false
-          | 1 -> (
-            match lit_value s lits.(0) with
-            | Value.True -> ()
-            | Value.False -> s.ok <- false
-            | Value.Unassigned -> enqueue s lits.(0) Arena.cref_undef)
-          | 2 ->
-            let c = Arena.alloc_sub s.arena ~learnt:false lits ~len:2 in
-            Ivec.push s.original c;
-            Binary.add s.binary ~cref:c lits.(0) lits.(1)
-          | _ ->
-            (* Attachment is deferred: pushing two watchers per clause
-               into randomly-addressed, growth-reallocating lists while
-               streaming is the bulk path's hottest cost.  The arena
-               already holds everything a later pass needs. *)
-            let c = Arena.alloc_sub s.arena ~learnt:false lits ~len:m in
-            Ivec.push s.original c
-        end)
+        (* Attachment is deferred: pushing two watchers per clause into
+           randomly-addressed, growth-reallocating lists while streaming
+           is the bulk path's hottest cost.  The arena already holds
+           everything a later pass needs. *)
+        load_clause s ~watch:false lits n)
   in
   (* Bulk attachment, clause order preserved so the watch lists come
      out element-for-element identical to [create]'s: one sequential
@@ -2147,9 +2126,8 @@ let load ?config source =
   Ivec.iter
     (fun c -> if Arena.clause_size s.arena c >= 3 then attach s c)
     s.original;
-  s.stats.arena_bytes <- Arena.bytes s.arena;
   Stats.note_live_clauses s.stats s.n_original;
-  s.stats.load_clauses <- !stored;
+  s.stats.load_clauses <- s.n_original;
   s.stats.load_literals <- !literals;
   s.stats.load_scratch_words <- scratch_words;
   s.stats.time_load <- Unix.gettimeofday () -. t0;
@@ -2158,7 +2136,7 @@ let load ?config source =
       (Trace.Load
          {
            vars = s.nvars;
-           clauses = !stored;
+           clauses = s.n_original;
            literals = !literals;
            seconds = s.stats.time_load;
            arena_bytes = Arena.bytes s.arena;

@@ -27,15 +27,25 @@ val no_budget : budget
 val budget_conflicts : int -> budget
 
 val create : ?config:Config.t -> Cnf.t -> t
-(** Loads the formula (tautologies dropped, duplicate literals merged).
-    Default configuration is {!Config.berkmin}. *)
+(** Loads the formula.  Every clause, here and in {!load},
+    {!add_clause}, {!import_clause} and conflict learning, enters the
+    database through one intake: normalization (literals sorted,
+    duplicates merged, tautologies dropped), then storage in the arena
+    with 2-clauses in the binary implication index.  Load time applies
+    no root filter: unit clauses are enqueued as they arrive but not yet
+    propagated, so later clauses are stored in full, and a unit
+    contradicting an earlier one makes the formula UNSAT.  Default
+    configuration is {!Config.berkmin}. *)
 
 val load : ?config:Config.t -> Berkmin_dimacs.Dimacs.source -> t
 (** Streams a DIMACS formula straight into a fresh solver — the
-    large-instance fast path.  Behaviour is identical to
-    [create (Dimacs.parse_file ...)] (same normalization, same
-    verdicts, same {!Berkmin_dimacs.Dimacs.Parse_error}s) but without
-    materializing a {!Cnf.t}: the [p cnf V C] header pre-sizes the
+    large-instance fast path.  Each clause goes through the same
+    load-time intake as in {!create} (normalization, no root filter),
+    so the behaviour is identical to [create (Dimacs.parse_file ...)]
+    (same database, same verdicts, same
+    {!Berkmin_dimacs.Dimacs.Parse_error}s); only the watches are
+    attached in one pass at the end.  No {!Cnf.t} is materialized:
+    the [p cnf V C] header pre-sizes the
     arena, watch lists, binary index and every per-variable structure
     in one step, and each clause moves from the parser's scratch
     buffer into the arena with a single blit.  Peak heap beyond the
@@ -86,10 +96,14 @@ val new_var : t -> int
 
 val add_clause : t -> Lit.t list -> unit
 (** Adds a clause over existing variables; callable between solves.
-    Tautologies are dropped, duplicate literals merged, and literals
-    already false at level 0 removed (they are false forever).  An
-    effectively empty clause makes the solver permanently UNSAT.
-    Invalidates a cached SAT/Unknown verdict.
+    The clause takes the intake {!create} uses (tautologies dropped,
+    duplicate literals merged) followed by the root filter it shares
+    with {!import_clause}: at decision level 0, a clause with a literal
+    already true there is dropped (it still counts in
+    {!num_original_clauses}), literals already false there are removed
+    (they are false forever), a remaining unit becomes a top-level
+    fact, and an effectively empty clause is proof-logged and makes the
+    solver permanently UNSAT.  Invalidates a cached SAT/Unknown verdict.
     @raise Invalid_argument if the clause mentions a variable not yet
     allocated ([new_var] first). *)
 
@@ -208,11 +222,14 @@ val import_clause : t -> glue:int -> Lit.t array -> unit
 (** Adopts a clause learnt by another solver of the same formula.
     Sound only for logical consequences of the formula (shared learnt
     clauses are).  Runs at decision level 0 (backtracking first if
-    needed) with the mid-life [add_clause] simplification: satisfied
-    clauses dropped, permanently-false literals filtered, units
-    enqueued as proof-logged top-level facts, binaries routed to the
-    implication index, an effectively empty clause making the solver
-    UNSAT.  Stored clauses are learnt- and imported-flagged and join
+    needed) through the same intake and root filter as {!add_clause}:
+    tautologies dropped, duplicates merged, satisfied clauses dropped,
+    permanently-false literals filtered, units enqueued as top-level
+    facts, binaries routed to the implication index, an effectively
+    empty clause making the solver UNSAT.  Unlike {!add_clause}, every
+    clause that lands is proof-logged as derived, and a clause over a
+    variable this solver eliminated is dropped rather than rejected.
+    Stored clauses are learnt- and imported-flagged and join
     the learnt stack (so reduction and GC manage them normally).
     Duplicate imports (same literal set, any order) are dropped;
     {!Stats.t.clauses_imported} counts only clauses that landed.

@@ -1,13 +1,18 @@
 (* Tests for the engine extensions beyond the paper's 2002
    configuration: the Var_heap variable order (BerkMin561 strategy 3),
    incremental solving with assumptions and failed cores, learnt-clause
-   minimization, and the top-window decision generalisation
-   (Remark 2). *)
+   minimization, the top-window decision generalisation (Remark 2),
+   and clause simplification and variable elimination on small
+   formulas through lib/simplify. *)
 
 open Berkmin_types
 module Solver = Berkmin.Solver
 module Config = Berkmin.Config
 module Var_heap = Berkmin.Var_heap
+module Engine = Berkmin_simplify.Engine
+module Recon = Berkmin_simplify.Recon
+module Drup = Berkmin_proof.Drup
+module Random_ksat = Berkmin_gen.Random_ksat
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -374,167 +379,231 @@ let test_window_solves_known () =
     [ 2; 4; 16 ]
 
 (* ------------------------------------------------------------------ *)
-(* Simplify (subsumption + self-subsuming resolution)                  *)
+(* Simplify (subsumption + self-subsuming resolution), on lib/simplify *)
 
-let test_simplify_subsumption () =
-  (* (x) subsumes (x | y) and (x | y | z). *)
-  let cnf = cnf_of [ [ 1 ]; [ 1; 2 ]; [ 1; 2; 3 ]; [ -2; 3 ] ] in
-  let r = Berkmin.Simplify.run cnf in
-  check Alcotest.int "two subsumed" 2 r.Berkmin.Simplify.subsumed;
-  check Alcotest.int "two clauses left" 2
-    (Cnf.num_clauses r.Berkmin.Simplify.cnf)
+let lit = Lit.of_dimacs
+let no_bve = { Engine.default_opts with Engine.bve_max_occ = 0 }
+let tags out = List.sort compare (List.map (fun c -> c.Engine.tag) out.Engine.kept)
 
-let test_simplify_strengthening () =
-  (* (x | a) and (~x | a | b): the second strengthens to (a | b). *)
-  let cnf = cnf_of [ [ 1; 2 ]; [ -1; 2; 3 ] ] in
-  let r = Berkmin.Simplify.run cnf in
-  check Alcotest.bool "strengthened" true (r.Berkmin.Simplify.strengthened >= 1);
+let is_unsat = function Solver.Unsat -> true | _ -> false
+
+let verdict_name = function
+  | Solver.Sat _ -> "SAT"
+  | Solver.Unsat -> "UNSAT"
+  | Solver.Unknown -> "UNKNOWN"
+
+let expect_sat cnf s =
+  match Solver.solve s with
+  | Solver.Sat m ->
+    check Alcotest.bool "model satisfies the original" true
+      (Solver.check_model cnf m);
+    m
+  | r -> Alcotest.failf "expected SAT, got %s" (verdict_name r)
+
+(* Feed plain DIMACS-style clause lists to the engine. *)
+let run_engine ?opts ?(frozen = fun _ -> false) ~nvars lists =
+  let clauses =
+    List.mapi
+      (fun i c ->
+        { Engine.lits = Array.of_list (List.map lit c);
+          tag = i;
+          redundant = false })
+      lists
+  in
+  Engine.run ?opts ~nvars ~frozen ~roots:[] ~proof:ignore clauses
+
+(* The formula an engine outcome stands for: the surviving clauses, the
+   resolvents, the derived units and the [roots] it started from. *)
+let outcome_cnf ~nvars ?(roots = []) out =
+  let cnf = Cnf.create ~num_vars:nvars () in
+  List.iter (fun c -> Cnf.add_clause_a cnf c.Engine.lits) out.Engine.kept;
+  List.iter (Cnf.add_clause_a cnf) out.Engine.resolvents;
+  List.iter (fun l -> Cnf.add_clause cnf [ l ]) (roots @ out.Engine.units);
+  if out.Engine.unsat then Cnf.add_clause cnf [];
+  cnf
+
+let engine_input cnf =
+  List.mapi
+    (fun i c -> { Engine.lits = Clause.to_array c; tag = i; redundant = false })
+    (Cnf.clauses cnf)
+
+let run_cnf ?opts ?(roots = []) cnf =
+  Engine.run ?opts ~nvars:(Cnf.num_vars cnf) ~frozen:(fun _ -> false) ~roots
+    ~proof:ignore (engine_input cnf)
+
+let random_3sat ~ratio (nv, seed) =
+  Random_ksat.generate ~num_vars:nv ~num_clauses:(ratio * nv) ~k:3 ~seed
+
+let random_params = QCheck.(pair (int_range 3 10) (int_range 0 1_000_000))
+
+let test_subsumption_two () =
+  (* (1 2) subsumes (1 2 3) and (1 2 4); (3 4 5) stays. *)
+  let out =
+    run_engine ~opts:no_bve ~nvars:5
+      [ [ 1; 2 ]; [ 1; 2; 3 ]; [ 1; 2; 4 ]; [ 3; 4; 5 ] ]
+  in
+  check Alcotest.int "two subsumed" 2 out.Engine.st.Engine.subsumed;
+  check (Alcotest.list Alcotest.int) "two clauses left" [ 0; 3 ] (tags out)
+
+let test_strengthening () =
+  (* (x | a) and (~x | a | b): the second strengthens to (a | b), and
+     (x | a) stays as it is. *)
+  let out = run_engine ~opts:no_bve ~nvars:3 [ [ 1; 2 ]; [ -1; 2; 3 ] ] in
+  check Alcotest.bool "strengthened" true (out.Engine.st.Engine.strengthened >= 1);
   let has_clause lits =
+    let want = List.sort compare (List.map lit lits) in
     List.exists
-      (Clause.equal (Clause.of_list (List.map Lit.of_dimacs lits)))
-      (Cnf.clauses r.Berkmin.Simplify.cnf)
+      (fun c -> List.sort compare (Array.to_list c.Engine.lits) = want)
+      out.Engine.kept
   in
   check Alcotest.bool "(a|b) present" true (has_clause [ 2; 3 ]);
-  check Alcotest.bool "original long clause gone" false (has_clause [ -1; 2; 3 ])
+  check Alcotest.bool "original long clause gone" false (has_clause [ -1; 2; 3 ]);
+  check Alcotest.bool "(x|a) kept" true (has_clause [ 1; 2 ])
 
-let test_simplify_derives_empty () =
-  (* (x) and (~x) strengthen/subsume down to the empty clause. *)
-  let cnf = cnf_of [ [ 1 ]; [ -1 ] ] in
-  let r = Berkmin.Simplify.run cnf in
+let test_derives_empty () =
+  (* The four clauses over x1, x2 are refuted by simplification alone,
+     with a proof that derives the empty clause before any search. *)
+  let cnf = cnf_of [ [ 1; 2 ]; [ 1; -2 ]; [ -1; 2 ]; [ -1; -2 ] ] in
+  let s = Solver.create cnf in
+  let proof = Drup.create () in
+  Solver.set_proof_logger s (Drup.record proof);
+  Solver.simplify s;
   check Alcotest.bool "empty clause derived" true
-    (Cnf.has_empty_clause r.Berkmin.Simplify.cnf)
+    (List.exists
+       (function Drup.Add c -> Clause.is_empty c | Drup.Delete _ -> false)
+       (Drup.events proof));
+  check Alcotest.bool "unsat" true (is_unsat (Solver.solve s));
+  check Alcotest.int "no conflicts" 0 (Solver.stats s).Berkmin.Stats.conflicts;
+  check Alcotest.string "proof" "valid"
+    (Drup.check_result_to_string (Drup.check cnf proof))
 
-let test_simplify_tautology_and_duplicates () =
+let test_tautology_and_duplicates () =
+  (* The tautology never enters the database; the duplicate clause is
+     subsumed by its twin. *)
   let cnf = cnf_of [ [ 1; -1 ]; [ 2; 3 ]; [ 3; 2 ] ] in
-  let r = Berkmin.Simplify.run cnf in
-  check Alcotest.int "one clause" 1 (Cnf.num_clauses r.Berkmin.Simplify.cnf)
+  let s = Solver.create cnf in
+  check Alcotest.int "tautology dropped" 2 (Solver.num_original_clauses s);
+  Solver.simplify s;
+  check Alcotest.int "duplicate subsumed" 1
+    (Solver.stats s).Berkmin.Stats.subsumed;
+  ignore (expect_sat cnf s)
 
-let prop_simplify_preserves_equivalence =
+let prop_equivalent_output =
+  (* Without elimination every rewrite keeps the formula's meaning:
+     models transfer in both directions. *)
   QCheck.Test.make ~name:"simplify: logically equivalent output" ~count:400
-    QCheck.(pair (int_range 3 10) (int_range 0 1_000_000))
-    (fun (nv, seed) ->
-      let cnf =
-        Berkmin_gen.Random_ksat.generate ~num_vars:nv ~num_clauses:(5 * nv)
-          ~k:3 ~seed
-      in
-      let r = Berkmin.Simplify.run cnf in
-      let simplified = r.Berkmin.Simplify.cnf in
-      (* Same verdict, and SAT models transfer in both directions
-         (the rewrites preserve equivalence). *)
-      match Solver.solve_cnf cnf, Solver.solve_cnf simplified with
+    random_params (fun params ->
+      let cnf = random_3sat ~ratio:5 params in
+      let out = run_cnf ~opts:no_bve cnf in
+      let simplified = outcome_cnf ~nvars:(Cnf.num_vars cnf) out in
+      match (Solver.solve_cnf cnf, Solver.solve_cnf simplified) with
       | Solver.Sat m, Solver.Sat m' ->
         Cnf.satisfied_by simplified m && Cnf.satisfied_by cnf m'
       | Solver.Unsat, Solver.Unsat -> true
-      | (Solver.Sat _ | Solver.Unsat | Solver.Unknown), _ ->
-        QCheck.Test.fail_report "verdict changed")
+      | _ -> QCheck.Test.fail_report "verdict changed")
 
-let prop_simplify_never_grows =
+let prop_never_grows =
   QCheck.Test.make ~name:"simplify: clause count never grows" ~count:200
     QCheck.(pair (int_range 3 12) (int_range 0 1_000_000))
-    (fun (nv, seed) ->
-      let cnf =
-        Berkmin_gen.Random_ksat.generate ~num_vars:nv ~num_clauses:(4 * nv)
-          ~k:3 ~seed
-      in
-      let r = Berkmin.Simplify.run cnf in
-      Cnf.num_clauses r.Berkmin.Simplify.cnf <= Cnf.num_clauses cnf)
+    (fun params ->
+      let cnf = random_3sat ~ratio:4 params in
+      let out = run_cnf cnf in
+      List.length out.Engine.kept + List.length out.Engine.resolvents
+      <= Cnf.num_clauses cnf)
 
 (* ------------------------------------------------------------------ *)
 (* Bounded variable elimination                                        *)
 
-let test_var_elim_pure () =
-  (* x1 occurs only positively: zero resolvents, trivially eliminated. *)
-  let cnf = cnf_of [ [ 1; 2 ]; [ 1; -2 ]; [ 2; 3 ] ] in
-  let r = Berkmin.Var_elim.run cnf in
-  check Alcotest.bool "x1 eliminated" true
-    (List.mem 0 (Berkmin.Var_elim.eliminated_vars r))
+let test_pure_literal () =
+  (* x1 occurs only positively: eliminating it resolves nothing, so its
+     clauses just go.  Freezing the other variables isolates it. *)
+  let out =
+    run_engine ~nvars:3 ~frozen:(fun v -> v <> 0) [ [ 1; 2 ]; [ 1; 3 ]; [ 2; 3 ] ]
+  in
+  check (Alcotest.list Alcotest.int) "x1 eliminated" [ 0 ]
+    (List.map (fun e -> e.Engine.var) out.Engine.eliminated);
+  check Alcotest.int "no resolvents" 0 out.Engine.st.Engine.resolvents_added;
+  check (Alcotest.list Alcotest.int) "its clauses gone" [ 2 ] (tags out)
 
-let test_var_elim_resolution () =
-  (* (x|a) (¬x|b): eliminating x yields (a|b), after which a and b are
-     pure and cascade away too — everything eliminated, zero clauses
-     left, and reconstruction must still rebuild a real model. *)
-  let cnf = cnf_of [ [ 1; 2 ]; [ -1; 3 ] ] in
-  let r = Berkmin.Var_elim.run cnf in
+let test_resolution_collapse () =
+  (* (x a)(-x b): eliminating x leaves (a b), whose variables are then
+     pure too.  Nothing is left, and reconstruction must still rebuild
+     a model of the original. *)
+  let lists = [ [ 1; 2 ]; [ -1; 3 ] ] in
+  let out = run_engine ~nvars:3 lists in
   check Alcotest.bool "x eliminated" true
-    (List.mem 0 (Berkmin.Var_elim.eliminated_vars r));
+    (List.exists (fun e -> e.Engine.var = 0) out.Engine.eliminated);
   check Alcotest.int "fully collapsed" 0
-    (Cnf.num_clauses (Berkmin.Var_elim.cnf r));
-  let model = Berkmin.Var_elim.reconstruct r [| false; false; false |] in
+    (List.length out.Engine.kept + List.length out.Engine.resolvents);
+  let model = [| false; false; false |] in
+  Recon.extend out.Engine.eliminated model;
   check Alcotest.bool "reconstructed model works" true
-    (Cnf.satisfied_by cnf model)
+    (Cnf.satisfied_by (cnf_of lists) model)
 
 let test_var_elim_growth_bound () =
-  (* 3 pos x 3 neg = up to 9 resolvents > 6 clauses: with growth 0 the
-     variable must be kept. *)
-  let cnf =
-    cnf_of
-      [ [ 1; 2 ]; [ 1; 3 ]; [ 1; 4 ]; [ -1; 5 ]; [ -1; 6 ]; [ -1; 7 ] ]
+  (* 3 pos x 3 neg = 9 resolvents > 6 clauses: with growth 0 x1 must be
+     kept.  The other variables are frozen, so x1 is the only candidate
+     and none of its clauses can go some other way. *)
+  let lists =
+    [ [ 1; 2 ]; [ 1; 3 ]; [ 1; 4 ]; [ -1; 5 ]; [ -1; 6 ]; [ -1; 7 ] ]
   in
-  let r = Berkmin.Var_elim.run ~max_growth:0 cnf in
+  let opts = { Engine.default_opts with Engine.bve_growth = 0 } in
+  let out = run_engine ~opts ~frozen:(fun v -> v <> 0) ~nvars:7 lists in
   check Alcotest.bool "kept under growth bound" false
-    (List.mem 0 (Berkmin.Var_elim.eliminated_vars r))
+    (List.exists (fun e -> e.Engine.var = 0) out.Engine.eliminated);
+  check (Alcotest.list Alcotest.int) "all six clauses kept"
+    [ 0; 1; 2; 3; 4; 5 ] (tags out)
 
-let prop_var_elim_equisatisfiable =
+(* [cnf] and the outcome are equisatisfiable, and a model of the
+   outcome, extended over the eliminated variables, satisfies [cnf]. *)
+let equisatisfiable cnf out simplified =
+  match (Solver.solve_cnf cnf, Solver.solve_cnf simplified) with
+  | Solver.Unsat, Solver.Unsat -> true
+  | Solver.Sat _, Solver.Sat m ->
+    Recon.extend out.Engine.eliminated m;
+    Cnf.satisfied_by cnf m
+  | _ -> QCheck.Test.fail_report "verdict changed by elimination"
+
+let prop_equisatisfiable =
   QCheck.Test.make ~name:"var_elim: equisatisfiable + model reconstructs"
-    ~count:400
-    QCheck.(pair (int_range 3 10) (int_range 0 1_000_000))
-    (fun (nv, seed) ->
-      let cnf =
-        Berkmin_gen.Random_ksat.generate ~num_vars:nv ~num_clauses:(4 * nv)
-          ~k:3 ~seed
-      in
-      let r = Berkmin.Var_elim.run ~max_growth:2 cnf in
-      match Solver.solve_cnf cnf, Solver.solve_cnf (Berkmin.Var_elim.cnf r) with
-      | Solver.Unsat, Solver.Unsat -> true
-      | Solver.Sat _, Solver.Sat m ->
-        Cnf.satisfied_by cnf (Berkmin.Var_elim.reconstruct r m)
-      | (Solver.Sat _ | Solver.Unsat | Solver.Unknown), _ ->
-        QCheck.Test.fail_report "verdict changed by elimination")
+    ~count:400 random_params (fun params ->
+      let cnf = random_3sat ~ratio:4 params in
+      let opts = { Engine.default_opts with Engine.bve_growth = 2 } in
+      let out = run_cnf ~opts cnf in
+      equisatisfiable cnf out (outcome_cnf ~nvars:(Cnf.num_vars cnf) out))
 
-let prop_var_elim_removes_occurrences =
-  QCheck.Test.make ~name:"var_elim: eliminated vars no longer occur" ~count:200
+let prop_eliminated_gone =
+  QCheck.Test.make ~name:"var_elim: eliminated vars no longer occur"
+    ~count:200
     QCheck.(pair (int_range 3 12) (int_range 0 1_000_000))
-    (fun (nv, seed) ->
-      let cnf =
-        Berkmin_gen.Random_ksat.generate ~num_vars:nv ~num_clauses:(3 * nv)
-          ~k:3 ~seed
-      in
-      let r = Berkmin.Var_elim.run cnf in
-      let gone = Berkmin.Var_elim.eliminated_vars r in
+    (fun params ->
+      let out = run_cnf (random_3sat ~ratio:3 params) in
+      let mentions v lits = Array.exists (fun l -> Lit.var l = v) lits in
       List.for_all
-        (fun v ->
+        (fun e ->
           not
-            (List.exists
-               (fun c ->
-                 Clause.mem (Lit.pos v) c || Clause.mem (Lit.neg_of v) c)
-               (Cnf.clauses (Berkmin.Var_elim.cnf r))))
-        gone)
+            (List.exists (fun c -> mentions e.Engine.var c.Engine.lits)
+               out.Engine.kept
+            || List.exists (mentions e.Engine.var) out.Engine.resolvents))
+        out.Engine.eliminated)
 
-(* Chained front end: simplify, then eliminate variables, then solve —
-   the full 2000s preprocessing pipeline must preserve answers through
-   both transformations and the two model-repair steps compose. *)
-let prop_preprocessing_pipeline =
+let prop_pipeline =
+  (* A pass without elimination, then an eliminating pass over its
+     output with its units as roots, as inprocessing chains passes. *)
   QCheck.Test.make ~name:"pipeline: simplify |> var_elim |> solve" ~count:300
-    QCheck.(pair (int_range 3 10) (int_range 0 1_000_000))
-    (fun (nv, seed) ->
-      let original =
-        Berkmin_gen.Random_ksat.generate ~num_vars:nv ~num_clauses:(4 * nv)
-          ~k:3 ~seed
+    random_params (fun params ->
+      let cnf = random_3sat ~ratio:4 params in
+      let nvars = Cnf.num_vars cnf in
+      let first = run_cnf ~opts:no_bve cnf in
+      let roots = first.Engine.units in
+      let second =
+        Engine.run ~nvars ~frozen:(fun _ -> false) ~roots ~proof:ignore
+          first.Engine.kept
       in
-      let simplified = (Berkmin.Simplify.run original).Berkmin.Simplify.cnf in
-      let elim = Berkmin.Var_elim.run ~max_growth:2 simplified in
-      let expected =
-        match Solver.solve_cnf original with
-        | Solver.Sat _ -> true
-        | Solver.Unsat -> false
-        | Solver.Unknown -> QCheck.assume_fail ()
-      in
-      match Solver.solve_cnf (Berkmin.Var_elim.cnf elim) with
-      | Solver.Sat m ->
-        expected
-        && Cnf.satisfied_by original (Berkmin.Var_elim.reconstruct elim m)
-      | Solver.Unsat -> not expected
-      | Solver.Unknown -> QCheck.Test.fail_report "unexpected Unknown")
+      equisatisfiable cnf second
+        (if first.Engine.unsat then outcome_cnf ~nvars first
+         else outcome_cnf ~nvars ~roots second))
+
 
 let () =
   Alcotest.run "extensions"
@@ -577,21 +646,21 @@ let () =
         ] );
       ( "simplify",
         [
-          Alcotest.test_case "subsumption" `Quick test_simplify_subsumption;
-          Alcotest.test_case "strengthening" `Quick test_simplify_strengthening;
-          Alcotest.test_case "derives empty" `Quick test_simplify_derives_empty;
+          Alcotest.test_case "subsumption" `Quick test_subsumption_two;
+          Alcotest.test_case "strengthening" `Quick test_strengthening;
+          Alcotest.test_case "derives empty" `Quick test_derives_empty;
           Alcotest.test_case "tautology/duplicates" `Quick
-            test_simplify_tautology_and_duplicates;
-          qtest prop_simplify_preserves_equivalence;
-          qtest prop_simplify_never_grows;
+            test_tautology_and_duplicates;
+          qtest prop_equivalent_output;
+          qtest prop_never_grows;
         ] );
       ( "var_elim",
         [
-          Alcotest.test_case "pure literal" `Quick test_var_elim_pure;
-          Alcotest.test_case "resolution" `Quick test_var_elim_resolution;
+          Alcotest.test_case "pure literal" `Quick test_pure_literal;
+          Alcotest.test_case "resolution" `Quick test_resolution_collapse;
           Alcotest.test_case "growth bound" `Quick test_var_elim_growth_bound;
-          qtest prop_var_elim_equisatisfiable;
-          qtest prop_var_elim_removes_occurrences;
-          qtest prop_preprocessing_pipeline;
+          qtest prop_equisatisfiable;
+          qtest prop_eliminated_gone;
+          qtest prop_pipeline;
         ] );
     ]

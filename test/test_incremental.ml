@@ -104,6 +104,22 @@ let test_core_empty_when_formula_unsat () =
     Alcotest.(option (list int))
     "formula-level UNSAT yields empty core" (Some []) (Solver.unsat_core s)
 
+(* A formula already contradictory when it is loaded answers an
+   assumption solve without searching; the proof must still derive the
+   empty clause, exactly as a plain [solve] does. *)
+let test_formula_unsat_under_assumps_proof () =
+  let cnf = cnf_of [ [ 1 ]; [ -1 ]; [ 2; 3 ] ] in
+  let s = Solver.create cnf in
+  let proof = Berkmin_proof.Drup.create () in
+  Solver.set_proof_logger s (Berkmin_proof.Drup.record proof);
+  check Alcotest.bool "unsat" true (is_unsat (Solver.solve ~assumps:[ lit 2 ] s));
+  check
+    Alcotest.(option (list int))
+    "formula-level core" (Some []) (Solver.unsat_core s);
+  check Alcotest.string "proof derives the empty clause" "valid"
+    (Berkmin_proof.Drup.check_result_to_string
+       (Berkmin_proof.Drup.check cnf proof))
+
 (* ------------------------------------------------------------------ *)
 (* Growing the formula between solves                                  *)
 
@@ -280,6 +296,8 @@ let () =
           Alcotest.test_case "propagation chain" `Quick test_core_soundness_chain;
           Alcotest.test_case "formula-level unsat" `Quick
             test_core_empty_when_formula_unsat;
+          Alcotest.test_case "formula-level unsat proof" `Quick
+            test_formula_unsat_under_assumps_proof;
         ] );
       ( "growth",
         [

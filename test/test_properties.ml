@@ -8,6 +8,8 @@ open Berkmin_types
 module Solver = Berkmin.Solver
 module Config = Berkmin.Config
 module Drup = Berkmin_proof.Drup
+module Engine = Berkmin_simplify.Engine
+module Recon = Berkmin_simplify.Recon
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -79,20 +81,44 @@ let prop_unsat_proofs_check =
             (Printf.sprintf "invalid proof at step %d: %s" step reason)))
 
 let prop_preprocess_preserves_verdict =
+  (* The simplification engine driven the way the solver drives it: a
+     unit clause (picked by the seed) goes in as a root fact, the rest
+     as clauses.  The outcome keeps the verdict, and a model of it,
+     rebuilt over the eliminated variables, satisfies the original. *)
   QCheck.Test.make ~name:"preprocessing preserves satisfiability" ~count:400
     random_cnf_gen
-    (fun params ->
+    (fun ((nv, _, seed) as params) ->
       let cnf = build params in
+      let input =
+        List.mapi
+          (fun i c ->
+            { Engine.lits = Clause.to_array c; tag = i; redundant = false })
+          (Cnf.clauses cnf)
+      in
+      let root = Lit.make (seed mod nv) (seed land 1 = 0) in
+      Cnf.add_clause cnf [ root ];
       let direct = solver_verdict cnf in
-      match Berkmin.Preprocess.run cnf with
-      | Berkmin.Preprocess.Unsat_detected -> direct = false
-      | Berkmin.Preprocess.Simplified { cnf = simplified; forced } -> (
+      let out =
+        Engine.run ~nvars:nv ~frozen:(fun _ -> false) ~roots:[ root ]
+          ~proof:ignore input
+      in
+      if out.Engine.unsat then not direct
+      else begin
+        let simplified = Cnf.create ~num_vars:nv () in
+        List.iter
+          (fun c -> Cnf.add_clause_a simplified c.Engine.lits)
+          out.Engine.kept;
+        List.iter (Cnf.add_clause_a simplified) out.Engine.resolvents;
+        List.iter
+          (fun l -> Cnf.add_clause simplified [ l ])
+          (root :: out.Engine.units);
         match Solver.solve_cnf simplified with
         | Solver.Sat model ->
-          direct
-          && Cnf.satisfied_by cnf (Berkmin.Preprocess.extend_model ~forced model)
+          Recon.extend out.Engine.eliminated model;
+          direct && Cnf.satisfied_by cnf model
         | Solver.Unsat -> not direct
-        | Solver.Unknown -> QCheck.Test.fail_report "unexpected Unknown"))
+        | Solver.Unknown -> QCheck.Test.fail_report "unexpected Unknown"
+      end)
 
 let prop_simplify_preserves_verdict =
   (* The in-solver simplifier (subsumption, self-subsuming resolution,

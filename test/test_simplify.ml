@@ -352,6 +352,58 @@ let test_stats_json_keys () =
       ]
   | _ -> Alcotest.fail "stats JSON is not an object"
 
+(* ------------------------------------------------------------------ *)
+(* Preprocessing on small formulas                                     *)
+
+let expect_sat cnf s =
+  match Solver.solve s with
+  | Solver.Sat m ->
+    check Alcotest.bool "model satisfies the original" true
+      (Solver.check_model cnf m);
+    m
+  | r -> Alcotest.failf "expected SAT, got %s" (verdict_name r)
+
+let test_preprocess_units () =
+  (* x1 is a unit and x1 -> x2; with both at the root, (-2 3 4) shrinks
+     to (3 4), whose variables occur in one phase only: nothing is
+     left of the database. *)
+  let cnf = cnf_of [ [ 1 ]; [ -1; 2 ]; [ -2; 3; 4 ] ] in
+  let s = Solver.create cnf in
+  Solver.simplify s;
+  check Alcotest.bool "x1 forced" true (Solver.value_of s 0 = Value.True);
+  check Alcotest.bool "x2 forced" true (Solver.value_of s 1 = Value.True);
+  check Alcotest.int "all clauses gone" 0 (Solver.arena_bytes s);
+  ignore (expect_sat cnf s)
+
+let test_preprocess_conflict () =
+  (* Root propagation alone refutes the formula: no search follows. *)
+  let s = Solver.create (cnf_of [ [ 1 ]; [ -1; 2 ]; [ -1; -2 ] ]) in
+  Solver.simplify s;
+  check Alcotest.bool "unsat" true (is_unsat (Solver.solve s));
+  check Alcotest.int "no decisions" 0 (Solver.stats s).Berkmin.Stats.decisions
+
+let test_preprocess_pure_literals () =
+  (* x1 occurs only positively and nothing forces it: it is eliminated,
+     not assigned, and the rebuilt model still satisfies its clauses. *)
+  let cnf = cnf_of [ [ 1; 2 ]; [ 1; 3 ]; [ 2; 3 ] ] in
+  let s = Solver.create cnf in
+  Solver.simplify s;
+  Alcotest.check_raises "x1 eliminated"
+    (Invalid_argument "Solver.add_clause: variable eliminated by simplification")
+    (fun () -> Solver.add_clause s [ lit 1 ]);
+  ignore (expect_sat cnf s)
+
+let test_preprocess_extend_model () =
+  (* Units, then (3 4)(-3 5): eliminating x3 leaves (4 5), which goes
+     too.  The database collapses, and the model is rebuilt for every
+     eliminated variable. *)
+  let cnf = cnf_of [ [ 1 ]; [ -1; 2 ]; [ 3; 4 ]; [ -3; 5 ] ] in
+  let s = Solver.create cnf in
+  Solver.simplify s;
+  check Alcotest.bool "eliminated" true (Solver.num_eliminated_vars s > 0);
+  check Alcotest.int "all clauses gone" 0 (Solver.arena_bytes s);
+  ignore (expect_sat cnf s)
+
 let () =
   Alcotest.run "simplify"
     [
@@ -402,5 +454,12 @@ let () =
           Alcotest.test_case "trace emits simplify" `Quick
             test_trace_emits_simplify;
           Alcotest.test_case "stats JSON keys" `Quick test_stats_json_keys;
+        ] );
+      ( "preprocess",
+        [
+          Alcotest.test_case "units" `Quick test_preprocess_units;
+          Alcotest.test_case "conflict" `Quick test_preprocess_conflict;
+          Alcotest.test_case "pure literals" `Quick test_preprocess_pure_literals;
+          Alcotest.test_case "extend model" `Quick test_preprocess_extend_model;
         ] );
     ]

@@ -1,6 +1,7 @@
 (* Engine-level tests: trivial formulas, unit propagation, every
    configuration preset on instances with known verdicts, budgets and
-   resume, determinism, statistics, DPLL oracle, preprocessing, Luby. *)
+   resume, determinism, statistics, DPLL oracle, Luby, bulk load and
+   clause intake. *)
 
 open Berkmin_types
 module Solver = Berkmin.Solver
@@ -276,44 +277,6 @@ let test_dpll_basics () =
     Alcotest.fail "expected budget exhaustion"
 
 (* ------------------------------------------------------------------ *)
-(* Preprocessing                                                       *)
-
-let test_preprocess_units () =
-  let cnf = cnf_of [ [ 1 ]; [ -1; 2 ]; [ -2; 3; 4 ] ] in
-  match Berkmin.Preprocess.run cnf with
-  | Berkmin.Preprocess.Simplified { cnf = out; forced } ->
-    (* x1, x2 forced; (x3|x4) remains but is then erased by purity. *)
-    check Alcotest.bool "x1 forced" true (List.mem (0, true) forced);
-    check Alcotest.bool "x2 forced" true (List.mem (1, true) forced);
-    check Alcotest.int "all clauses gone" 0 (Cnf.num_clauses out)
-  | Berkmin.Preprocess.Unsat_detected -> Alcotest.fail "not UNSAT"
-
-let test_preprocess_conflict () =
-  match Berkmin.Preprocess.run (cnf_of [ [ 1 ]; [ -1 ] ]) with
-  | Berkmin.Preprocess.Unsat_detected -> ()
-  | Berkmin.Preprocess.Simplified _ -> Alcotest.fail "expected UNSAT"
-
-let test_preprocess_pure_literals () =
-  (* x1 occurs only positively: clauses containing it disappear. *)
-  let cnf = cnf_of [ [ 1; 2 ]; [ 1; -2 ]; [ 2; 3 ]; [ -3; -2 ] ] in
-  match Berkmin.Preprocess.run cnf with
-  | Berkmin.Preprocess.Simplified { forced; _ } ->
-    check Alcotest.bool "x1 pure positive" true (List.mem (0, true) forced)
-  | Berkmin.Preprocess.Unsat_detected -> Alcotest.fail "not UNSAT"
-
-let test_preprocess_extend_model () =
-  let cnf = cnf_of [ [ 1 ]; [ -1; 2 ]; [ 3; 4 ]; [ -3; 4 ] ] in
-  match Berkmin.Preprocess.run cnf with
-  | Berkmin.Preprocess.Simplified { cnf = simplified; forced } -> (
-    match Solver.solve_cnf simplified with
-    | Solver.Sat model ->
-      let full = Berkmin.Preprocess.extend_model ~forced model in
-      check Alcotest.bool "extended model satisfies original" true
-        (Cnf.satisfied_by cnf full)
-    | Solver.Unsat | Solver.Unknown -> Alcotest.fail "expected SAT")
-  | Berkmin.Preprocess.Unsat_detected -> Alcotest.fail "not UNSAT"
-
-(* ------------------------------------------------------------------ *)
 (* Luby                                                                *)
 
 let test_luby_sequence () =
@@ -331,24 +294,49 @@ let test_luby_sequence () =
 
 module Dimacs = Berkmin_dimacs.Dimacs
 
+(* The same formula grown one variable and one clause at a time through
+   the incremental interface. *)
+let build_incremental ?config cnf =
+  let s = Solver.create ?config (Cnf.create ()) in
+  for _ = 1 to Cnf.num_vars cnf do
+    ignore (Solver.new_var s)
+  done;
+  Cnf.iter (fun c -> Solver.add_clause s (Clause.to_list c)) cnf;
+  s
+
+let same_verdict a b =
+  match (a, b) with
+  | Solver.Sat _, Solver.Sat _
+  | Solver.Unsat, Solver.Unsat
+  | Solver.Unknown, Solver.Unknown -> true
+  | _ -> false
+
+let model_of = function
+  | Solver.Sat m -> Some m
+  | Solver.Unsat | Solver.Unknown -> None
+
 (* [load] must be indistinguishable from [create ∘ parse]: same
    verdict and, because construction order is identical, the same
-   search trace (conflict/decision/propagation counts). *)
+   search trace (conflict/decision/propagation counts).  The formula
+   built through [new_var] + [add_clause] reaches the same verdict and
+   model. *)
 let assert_load_equiv ?config name text =
   let s_parse = Solver.create ?config (Dimacs.parse_string text) in
   let s_load = Solver.load_string ?config text in
+  let s_incr = build_incremental ?config (Dimacs.parse_string text) in
   check Alcotest.int (name ^ ": nvars") (Solver.num_vars s_parse)
     (Solver.num_vars s_load);
   check Alcotest.int (name ^ ": n_original")
     (Solver.num_original_clauses s_parse)
     (Solver.num_original_clauses s_load);
   let r_parse = Solver.solve s_parse and r_load = Solver.solve s_load in
-  check Alcotest.bool (name ^ ": same verdict") true
-    (match (r_parse, r_load) with
-    | Solver.Sat _, Solver.Sat _
-    | Solver.Unsat, Solver.Unsat
-    | Solver.Unknown, Solver.Unknown -> true
-    | _ -> false);
+  let r_incr = Solver.solve s_incr in
+  check Alcotest.bool (name ^ ": same verdict") true (same_verdict r_parse r_load);
+  check Alcotest.bool (name ^ ": incremental verdict") true
+    (same_verdict r_parse r_incr);
+  check
+    Alcotest.(option (array bool))
+    (name ^ ": incremental model") (model_of r_parse) (model_of r_incr);
   let st_parse = Solver.stats s_parse and st_load = Solver.stats s_load in
   check Alcotest.int (name ^ ": same conflicts")
     st_parse.Berkmin.Stats.conflicts st_load.Berkmin.Stats.conflicts;
@@ -395,6 +383,123 @@ let test_load_file_solves () =
       let s = Solver.load_file path in
       check Alcotest.bool "hole_6_5 is UNSAT" true (is_unsat (Solver.solve s)))
 
+(* ------------------------------------------------------------------ *)
+(* Mid-life clause intake: [add_clause] and [import_clause] normalize
+   a clause, filter it against the root assignment and store what is
+   left.  Each case runs through both entry points on a solver whose
+   root has x1 true and x2 false, with a proof logger attached. *)
+
+module Drup = Berkmin_proof.Drup
+
+type intake_path = {
+  path : string;
+  add : Solver.t -> int list -> unit;
+  count : Solver.t -> int;
+      (* originals for [add_clause], landed imports for [import_clause] *)
+  counts_satisfied : bool;
+      (* [add_clause] counts a clause it drops as satisfied at the root *)
+}
+
+let intake_paths =
+  [
+    {
+      path = "add_clause";
+      add = (fun s l -> Solver.add_clause s (List.map Lit.of_dimacs l));
+      count = Solver.num_original_clauses;
+      counts_satisfied = true;
+    };
+    {
+      path = "import_clause";
+      add =
+        (fun s l ->
+          Solver.import_clause s ~glue:2
+            (Array.of_list (List.map Lit.of_dimacs l)));
+      count = (fun s -> (Solver.stats s).Berkmin.Stats.clauses_imported);
+      counts_satisfied = false;
+    };
+  ]
+
+(* [counted] is the change in the path's own clause count, [stored]
+   whether the clause reached the arena, [bins] the change in
+   binary-index entries. *)
+let intake_case p name clause ~counted ~stored ~bins after =
+  let s = Solver.create (cnf_of [ [ 1 ]; [ -2 ]; [ 3; 4; 5; 6 ] ]) in
+  let proof = Drup.create () in
+  Solver.set_proof_logger s (Drup.record proof);
+  let count0 = p.count s
+  and bytes0 = Solver.arena_bytes s
+  and bins0 = Solver.num_binary_entries s in
+  p.add s clause;
+  let label = p.path ^ ", " ^ name in
+  check Alcotest.int (label ^ ": counted") counted (p.count s - count0);
+  check Alcotest.bool (label ^ ": stored") stored (Solver.arena_bytes s > bytes0);
+  check Alcotest.int (label ^ ": binary entries") bins
+    (Solver.num_binary_entries s - bins0);
+  check (Alcotest.list Alcotest.string) (label ^ ": invariants") []
+    (Solver.watch_invariant_violations s);
+  after label s proof
+
+let logs_empty_clause proof =
+  List.exists
+    (function Drup.Add c -> Clause.is_empty c | Drup.Delete _ -> false)
+    (Drup.events proof)
+
+let test_intake_cases () =
+  let solves_sat label s _ =
+    check Alcotest.bool (label ^ ": SAT") true (is_sat (Solver.solve s))
+  in
+  List.iter
+    (fun path ->
+      let case = intake_case path in
+      case "tautology" [ 3; -3; 4 ] ~counted:0 ~stored:false ~bins:0 solves_sat;
+      case "duplicates" [ 3; 4; 3 ] ~counted:1 ~stored:true ~bins:2 solves_sat;
+      case "true at root" [ 1; 3; 4 ]
+        ~counted:(if path.counts_satisfied then 1 else 0)
+        ~stored:false ~bins:0 solves_sat;
+      case "false literals leave a binary" [ -1; 3; 2; 4 ] ~counted:1
+        ~stored:true ~bins:2 solves_sat;
+      case "false literals leave a long clause" [ -1; 2; 3; 4; 5 ] ~counted:1
+        ~stored:true ~bins:0 solves_sat;
+      case "false literals leave a unit" [ -1; 2; 5 ] ~counted:1 ~stored:false
+        ~bins:0 (fun label s _ ->
+          check Alcotest.bool (label ^ ": x5 enqueued") true
+            (Solver.value_of s 4 = Value.True);
+          solves_sat label s ());
+      case "false literals leave nothing" [ -1; 2 ] ~counted:1 ~stored:false
+        ~bins:0 (fun label s proof ->
+          check Alcotest.bool (label ^ ": empty clause logged") true
+            (logs_empty_clause proof);
+          check Alcotest.bool (label ^ ": UNSAT") true (is_unsat (Solver.solve s))))
+    intake_paths
+
+(* A foreign clause over a variable this solver eliminated is dropped:
+   it would invalidate the model-reconstruction stack. *)
+let test_import_eliminated_var () =
+  let cnf = cnf_of [ [ 1; 2 ]; [ -1; 3 ]; [ -2; 3 ]; [ 3; 4; 5 ]; [ -4; -5 ] ] in
+  let s = Solver.create cnf in
+  Solver.simplify s;
+  check Alcotest.bool "something eliminated" true
+    (Solver.num_eliminated_vars s > 0);
+  (* [add_clause] validates every literal before it changes anything *)
+  let eliminated v =
+    match Solver.add_clause s [ Lit.pos v; Lit.neg_of v ] with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  let v = List.find eliminated (List.init (Solver.num_vars s) Fun.id) in
+  let imported () = (Solver.stats s).Berkmin.Stats.clauses_imported in
+  let bytes0 = Solver.arena_bytes s in
+  Solver.import_clause s ~glue:1 [| Lit.pos v |];
+  check Alcotest.int "not imported" 0 (imported ());
+  check Alcotest.int "arena untouched" bytes0 (Solver.arena_bytes s);
+  check Alcotest.bool "still unassigned" true
+    (Solver.value_of s v = Value.Unassigned);
+  check (Alcotest.list Alcotest.string) "invariants" []
+    (Solver.watch_invariant_violations s);
+  match Solver.solve s with
+  | Solver.Sat m -> check Alcotest.bool "model" true (Cnf.satisfied_by cnf m)
+  | Solver.Unsat | Solver.Unknown -> Alcotest.fail "expected SAT"
+
 let () =
   Alcotest.run "solver"
     [
@@ -435,13 +540,6 @@ let () =
           Alcotest.test_case "decision hook" `Quick test_decision_hook_fires;
         ] );
       ("dpll", [ Alcotest.test_case "basics" `Quick test_dpll_basics ]);
-      ( "preprocess",
-        [
-          Alcotest.test_case "units" `Quick test_preprocess_units;
-          Alcotest.test_case "conflict" `Quick test_preprocess_conflict;
-          Alcotest.test_case "pure literals" `Quick test_preprocess_pure_literals;
-          Alcotest.test_case "extend model" `Quick test_preprocess_extend_model;
-        ] );
       ("luby", [ Alcotest.test_case "sequence" `Quick test_luby_sequence ]);
       ( "bulk-load",
         [
@@ -449,5 +547,12 @@ let () =
           Alcotest.test_case "load stats recorded" `Quick
             test_load_stats_recorded;
           Alcotest.test_case "load_file solves" `Quick test_load_file_solves;
+        ] );
+      ( "intake",
+        [
+          Alcotest.test_case "add_clause and import_clause cases" `Quick
+            test_intake_cases;
+          Alcotest.test_case "import over an eliminated variable" `Quick
+            test_import_eliminated_var;
         ] );
     ]

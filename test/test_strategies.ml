@@ -298,6 +298,34 @@ let test_strategy_lanes_campaign () =
   check Alcotest.int "no disagreements" 0
     (List.length report.Fuzz.counterexamples)
 
+(* ------------------------------------------------------------------ *)
+(* Command-line overrides shared by berkmin_cli and berkmin-serverd.   *)
+
+let test_flag_overrides () =
+  (match
+     Config.with_overrides ~simplify:"pre" ~simplify_growth:3 ~ccmin:"deep"
+       ~phase_saving:true ~restarts:"luby:32" ~reduce:"glue:4" Config.berkmin
+   with
+  | Ok c ->
+    check Alcotest.bool "every flag applied" true
+      (c.Config.simplify = Config.Simp_pre
+      && c.Config.simplify_growth = 3
+      && c.Config.ccmin_mode = Config.Ccmin_deep
+      && c.Config.phase_saving
+      && c.Config.restart_mode = Config.Luby 32
+      && c.Config.reduction_mode = Config.Glue_lbd 4)
+  | Error msg -> Alcotest.fail msg);
+  check Alcotest.bool "no flag keeps the preset" true
+    (Config.with_overrides Config.modern = Ok Config.modern);
+  let error = function Ok _ -> "ok" | Error msg -> msg in
+  check Alcotest.string "first bad flag reported"
+    "--simplify-growth must be >= 0 (got -1)"
+    (error
+       (Config.with_overrides ~simplify_growth:(-1) ~ccmin:"x" Config.berkmin));
+  check Alcotest.string "mode vocabulary"
+    "--reduce wants berkmin, length:N, glue:N or keep-all (got \"glue:0\")"
+    (error (Config.with_overrides ~reduce:"glue:0" Config.berkmin))
+
 let () =
   Alcotest.run "strategies"
     [
@@ -329,6 +357,9 @@ let () =
           Alcotest.test_case "reduction classifies learnt clauses" `Quick
             test_glue_reduction_classifies;
         ] );
+      ( "flags",
+        [ Alcotest.test_case "overrides over a preset" `Quick test_flag_overrides ]
+      );
       ( "differential",
         [
           qtest prop_strategies_preserve_verdicts;
