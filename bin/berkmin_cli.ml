@@ -2,7 +2,8 @@
    style answer, optionally emits a DRUP proof and statistics.
 
    Exit codes follow the SAT-solver convention: 10 = SATISFIABLE,
-   20 = UNSATISFIABLE, 0 = UNKNOWN, 2 = usage/input error. *)
+   20 = UNSATISFIABLE, 0 = UNKNOWN, 1 = failed --check (bad model or
+   invalid proof), 2 = usage/input error. *)
 
 open Berkmin_types
 module Drup = Berkmin_proof.Drup
@@ -228,7 +229,8 @@ let run file strategy max_conflicts max_seconds proof_file stats_flag check
           | Drup.Valid -> print_endline "c proof checked: VALID"
           | Drup.Invalid { step; reason; _ } ->
             Printf.printf "c proof checked: INVALID at step %d (%s)\n" step
-              reason
+              reason;
+            exit 1
         end
       | (Berkmin.Solver.Sat _ | Berkmin.Solver.Unknown), Some _ | _, None -> ());
       (match result with
@@ -295,7 +297,9 @@ let check =
   Arg.(
     value & flag
     & info [ "check" ]
-        ~doc:"Verify the model (SAT) or the emitted proof (UNSAT).")
+        ~doc:
+          "Verify the model (SAT) or the emitted proof (UNSAT); exit 1 \
+           if the check fails.")
 
 let seed =
   Arg.(

@@ -183,14 +183,14 @@ let enqueue s l reason =
   (* Level-0 reasons are never consulted by conflict analysis and would
      pin clauses against deletion, so they are dropped. *)
   s.reason.(v) <- (if dl = 0 then Arena.cref_undef else reason);
-  (* With simplification active, every level-0 fact goes to the proof
-     as a unit clause the moment it is derived (RUP: its support is
-     still in the database here).  Simplification and reduction may
-     later delete that support; the logged unit keeps the fact alive
-     for the checker.  Duplicates (learnt/imported units log their own
-     Add) are harmless — the checker counts multiplicity. *)
-  if dl = 0 && s.proof <> None && s.cfg.Config.simplify <> Config.Simp_off then
-    log_add s [| l |];
+  (* Every level-0 fact goes to the proof as a unit clause the moment
+     it is derived (RUP: its support is still in the database here).
+     Reduction and simplification may later delete that support —
+     the dropped reason above no longer pins it — and the logged unit
+     keeps the fact alive for the checker.  Duplicates (learnt/imported
+     units log their own Add) are harmless — the checker counts
+     multiplicity. *)
+  if dl = 0 && s.proof <> None then log_add s [| l |];
   Ivec.push s.trail l
 
 let unassign s l =

@@ -1,12 +1,9 @@
-(* Large-instance workload for the time-boxed [bench --full] tier.
-
-   Everything the smoke tier measures is tiny (pigeonhole, small
-   random-3SAT); these generators produce formulas that actually
-   stress the arena, the watch lists and the streaming load path:
-   bounded-model-checking unrollings of a sequential circuit (the
-   industrial shape the paper targets), larger graph colorings, and
-   planted random-3SAT at scale.  The [size] knob scales every family
-   together; generation is deterministic in [(size, seed)]. *)
+(* Large BMC instances: bounded-model-checking unrollings of a
+   sequential circuit, the industrial shape the paper targets, sized
+   to stress the arena, the watch lists and the streaming load path
+   rather than the search heuristics alone.  The repo benchmark's
+   large_formula and incremental workloads (perfbench/) draw their
+   formulas from here; generation is deterministic in the seed. *)
 
 module C = Berkmin_circuit.Circuit
 module B = Berkmin_circuit.Bitvec
@@ -70,23 +67,3 @@ let bmc_lock_instance ~combo_len ~reachable ~seed =
        (if reachable then "sat" else "unsat"))
     (if reachable then Instance.Expect_sat else Instance.Expect_unsat)
     cnf
-
-let suite ?(size = 1) ~seed () =
-  let size = max 1 size in
-  let combo_len = (4 * size) + 4 in
-  let clique_n = 5 + (2 * size) in
-  [
-    bmc_lock_instance ~combo_len ~reachable:true ~seed;
-    bmc_lock_instance ~combo_len ~reachable:false ~seed:(seed + 1);
-    Graph_coloring.random_instance ~vertices:(60 * size) ~edge_prob:0.08
-      ~colors:5 ~seed;
-    (* n-clique needs n colors: one short is UNSAT at scale *)
-    Graph_coloring.clique_instance clique_n ~colors:(clique_n - 1);
-    (* The arena-stress row: big in clauses, deliberately below the
-       hardness ridge (~4.27, and the planted construction guarantees
-       SAT at any ratio) — the tier measures the load path and the
-       watch lists at scale, not a search cliff. *)
-    Random_ksat.planted_instance ~num_vars:(6000 * size) ~ratio:3.0 ~seed;
-    Random_ksat.instance ~num_vars:(150 + (25 * size)) ~ratio:4.26
-      ~seed:(seed + 2);
-  ]

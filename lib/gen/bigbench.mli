@@ -1,11 +1,9 @@
-(** Large-instance workload for the time-boxed [bench --full] tier.
-
-    Families sized to stress the arena, watch lists and the streaming
-    load path rather than the search heuristics alone:
-    bounded-model-checking unrollings of a parameterized sequential
-    lock circuit (via {!Berkmin_circuit.Bmc}), larger graph colorings,
-    and planted random-3SAT at scale.  Generation is deterministic in
-    the [(size, seed)] pair. *)
+(** Large BMC instances: bounded-model-checking unrollings of a
+    parameterized sequential lock circuit (via {!Berkmin_circuit.Bmc}),
+    sized to stress the arena, watch lists and the streaming load path
+    rather than the search heuristics alone.  The repo benchmark's
+    large_formula and incremental workloads (perfbench/) draw their
+    formulas from here.  Generation is deterministic in the seed. *)
 
 val bmc_lock_instance :
   combo_len:int -> reachable:bool -> seed:int -> Instance.t
@@ -14,8 +12,3 @@ val bmc_lock_instance :
     exactly [combo_len] steps, so [reachable:true] unrolls one frame
     past it (SAT) and [reachable:false] one frame short (UNSAT).
     @raise Invalid_argument if [combo_len < 2]. *)
-
-val suite : ?size:int -> seed:int -> unit -> Instance.t list
-(** The full-tier suite: BMC lock SAT/UNSAT pair, random and clique
-    colorings, planted and unknown random-3SAT.  [size] (default 1,
-    clamped to [>= 1]) scales every family together. *)

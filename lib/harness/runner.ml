@@ -42,6 +42,20 @@ let verdict_to_string = function
   | V_unsat -> "UNSAT"
   | V_aborted -> "aborted"
 
+let verdict_of_result = function
+  | Berkmin.Solver.Sat _ -> V_sat
+  | Berkmin.Solver.Unsat -> V_unsat
+  | Berkmin.Solver.Unknown -> V_aborted
+
+(* A SAT model must satisfy the formula, and a decided verdict must
+   not contradict the instance's expectation; an abort claims nothing. *)
+let is_correct inst = function
+  | Berkmin.Solver.Sat model ->
+    Cnf.satisfied_by inst.Instance.cnf model
+    && Instance.consistent inst ~sat:true
+  | Berkmin.Solver.Unsat -> Instance.consistent inst ~sat:false
+  | Berkmin.Solver.Unknown -> true
+
 let props_per_sec o =
   if o.seconds <= 0.0 then 0.0
   else float_of_int o.propagations /. o.seconds
@@ -97,13 +111,12 @@ let fuzz_budget =
      for a given seed, so wall-clock time never enters its budget. *)
   { Berkmin.Solver.max_conflicts = Some 20_000; max_seconds = None }
 
-let outcome_of_stats ~name ~expected ~verdict ~correct ~seconds
-    ~initial_clauses st =
+let outcome_of_stats ~name inst result ~seconds ~initial_clauses st =
   {
     instance_name = name;
-    expected;
-    verdict;
-    correct;
+    expected = inst.Instance.expected;
+    verdict = verdict_of_result result;
+    correct = is_correct inst result;
     seconds;
     conflicts = st.Berkmin.Stats.conflicts;
     decisions = st.Berkmin.Stats.decisions;
@@ -130,36 +143,30 @@ let outcome_of_stats ~name ~expected ~verdict ~correct ~seconds
     skin = Array.copy st.Berkmin.Stats.skin;
   }
 
-let run_instance ?(budget = default_budget) config inst =
-  let cnf = inst.Instance.cnf in
-  let solver = Berkmin.Solver.create ~config cnf in
+(* Solves [inst] on a solver already built from it; [seconds] is the
+   search's CPU time. *)
+let solve_built ~budget ~name inst solver =
   let started = Sys.time () in
   let result = Berkmin.Solver.solve ~budget solver in
   let seconds = Sys.time () -. started in
-  let verdict, correct =
-    match result with
-    | Berkmin.Solver.Sat model ->
-      ( V_sat,
-        Cnf.satisfied_by cnf model && Instance.consistent inst ~sat:true )
-    | Berkmin.Solver.Unsat -> (V_unsat, Instance.consistent inst ~sat:false)
-    | Berkmin.Solver.Unknown -> (V_aborted, true)
-  in
-  outcome_of_stats ~name:inst.Instance.name ~expected:inst.Instance.expected
-    ~verdict ~correct ~seconds
+  outcome_of_stats ~name inst result ~seconds
     ~initial_clauses:(Berkmin.Solver.num_original_clauses solver)
     (Berkmin.Solver.stats solver)
 
+let run_instance ?(budget = default_budget) config inst =
+  solve_built ~budget ~name:inst.Instance.name inst
+    (Berkmin.Solver.create ~config inst.Instance.cnf)
+
 (* ------------------------------------------------------------------ *)
-(* Streaming-load lanes: the same outcome record, built from a solver
+(* Streaming-load lane: the same outcome record, built from a solver
    constructed through [Berkmin.Solver.load] (the bulk path that
    consumes DIMACS without ever materializing a [Cnf.t]).  The
-   [load_info] sidecar carries the phase timings and load counters the
+   [load_info] sidecar carries the load timing and counters the
    outcome record has no room for.                                     *)
 
 module Dimacs = Berkmin_dimacs.Dimacs
 
 type load_info = {
-  parse_seconds : float;
   load_seconds : float;
   load_clauses : int;
   load_literals : int;
@@ -167,89 +174,21 @@ type load_info = {
   source_bytes : int;
 }
 
-let load_info_of_stats ~parse_seconds ~source_bytes st =
-  {
-    parse_seconds;
-    load_seconds = st.Berkmin.Stats.time_load;
-    load_clauses = st.Berkmin.Stats.load_clauses;
-    load_literals = st.Berkmin.Stats.load_literals;
-    load_scratch_words = st.Berkmin.Stats.load_scratch_words;
-    source_bytes;
-  }
-
 let run_instance_streamed ?(budget = default_budget) config inst =
-  let cnf = inst.Instance.cnf in
-  let text = Dimacs.to_string cnf in
+  let text = Dimacs.to_string inst.Instance.cnf in
   let solver = Berkmin.Solver.load_string ~config text in
-  let started = Sys.time () in
-  let result = Berkmin.Solver.solve ~budget solver in
-  let seconds = Sys.time () -. started in
-  let verdict, correct =
-    match result with
-    | Berkmin.Solver.Sat model ->
-      ( V_sat,
-        Cnf.satisfied_by cnf model && Instance.consistent inst ~sat:true )
-    | Berkmin.Solver.Unsat -> (V_unsat, Instance.consistent inst ~sat:false)
-    | Berkmin.Solver.Unknown -> (V_aborted, true)
+  let outcome =
+    solve_built ~budget ~name:("stream/" ^ inst.Instance.name) inst solver
   in
   let st = Berkmin.Solver.stats solver in
-  ( outcome_of_stats
-      ~name:("stream/" ^ inst.Instance.name)
-      ~expected:inst.Instance.expected ~verdict ~correct ~seconds
-      ~initial_clauses:(Berkmin.Solver.num_original_clauses solver)
-      st,
-    load_info_of_stats ~parse_seconds:0.0
-      ~source_bytes:(String.length text)
-      st )
-
-let clause_satisfied model lits n =
-  let rec go i =
-    i < n
-    &&
-    let v = Lit.var lits.(i) in
-    (v < Array.length model && model.(v) = Lit.is_pos lits.(i)) || go (i + 1)
-  in
-  go 0
-
-let model_satisfies_file model path =
-  In_channel.with_open_bin path (fun ic ->
-      Dimacs.fold_clauses (Dimacs.From_channel ic) ~init:true
-        ~f:(fun ok lits n -> ok && clause_satisfied model lits n))
-
-let run_instance_file ?(budget = default_budget) config ~name ~expected path =
-  (* Phase 1: a parse-only pass over the file — the raw tokenizer cost,
-     with no solver state in sight. *)
-  let t0 = Unix.gettimeofday () in
-  let clauses = ref 0 and literals = ref 0 in
-  In_channel.with_open_bin path (fun ic ->
-      Dimacs.iter_clauses (Dimacs.From_channel ic) ~f:(fun _ n ->
-          incr clauses;
-          literals := !literals + n));
-  let parse_seconds = Unix.gettimeofday () -. t0 in
-  (* Phase 2: parse again, this time straight into pre-sized solver
-     state; [Stats.time_load] records this phase's wall clock. *)
-  let solver = Berkmin.Solver.load_file ~config path in
-  (* Phase 3: search, under a wall-clock budget — unlike [run_instance]
-     the [seconds] field is wall time, since the full tier's budgets
-     are wall-clock by design. *)
-  let started = Unix.gettimeofday () in
-  let result = Berkmin.Solver.solve ~budget solver in
-  let seconds = Unix.gettimeofday () -. started in
-  let verdict, correct =
-    match result with
-    | Berkmin.Solver.Sat model ->
-      (* Model check without the formula in memory: one more streaming
-         pass, every clause must contain a satisfied literal. *)
-      (V_sat, model_satisfies_file model path && expected <> Instance.Expect_unsat)
-    | Berkmin.Solver.Unsat -> (V_unsat, expected <> Instance.Expect_sat)
-    | Berkmin.Solver.Unknown -> (V_aborted, true)
-  in
-  let st = Berkmin.Solver.stats solver in
-  ( outcome_of_stats ~name ~expected ~verdict ~correct ~seconds
-      ~initial_clauses:(Berkmin.Solver.num_original_clauses solver)
-      st,
-    load_info_of_stats ~parse_seconds
-      ~source_bytes:(Unix.stat path).Unix.st_size st )
+  ( outcome,
+    {
+      load_seconds = st.Berkmin.Stats.time_load;
+      load_clauses = st.Berkmin.Stats.load_clauses;
+      load_literals = st.Berkmin.Stats.load_literals;
+      load_scratch_words = st.Berkmin.Stats.load_scratch_words;
+      source_bytes = String.length text;
+    } )
 
 (* ------------------------------------------------------------------ *)
 (* Portfolio runs: the same outcome record, built from the winning
@@ -262,14 +201,6 @@ module Portfolio = Berkmin_portfolio.Portfolio
 let run_instance_portfolio ?(budget = default_budget) config inst =
   let cnf = inst.Instance.cnf in
   let p = Portfolio.solve_config ~budget config cnf in
-  let verdict, correct =
-    match p.Portfolio.result with
-    | Berkmin.Solver.Sat model ->
-      ( V_sat,
-        Cnf.satisfied_by cnf model && Instance.consistent inst ~sat:true )
-    | Berkmin.Solver.Unsat -> (V_unsat, Instance.consistent inst ~sat:false)
-    | Berkmin.Solver.Unknown -> (V_aborted, true)
-  in
   let winner_stats =
     let find i =
       List.find_opt (fun w -> w.Portfolio.w_index = i) p.Portfolio.workers
@@ -292,9 +223,9 @@ let run_instance_portfolio ?(budget = default_budget) config inst =
     match winner_stats with Some s -> s | None -> Berkmin.Stats.create ()
   in
   let outcome =
-    outcome_of_stats ~name:inst.Instance.name ~expected:inst.Instance.expected
-      ~verdict ~correct ~seconds:p.Portfolio.wall_seconds
-      ~initial_clauses:(Cnf.num_clauses cnf) st
+    outcome_of_stats ~name:inst.Instance.name inst p.Portfolio.result
+      ~seconds:p.Portfolio.wall_seconds ~initial_clauses:(Cnf.num_clauses cnf)
+      st
   in
   (outcome, p)
 

@@ -50,6 +50,8 @@ type outcome = {
 
 val verdict_to_string : verdict -> string
 
+val verdict_of_result : Berkmin.Solver.result -> verdict
+
 val props_per_sec : outcome -> float
 (** Propagations per second of the run; 0 for zero-length runs. *)
 
@@ -64,9 +66,6 @@ val run_instance :
 (** Runs one instance; SAT models are re-verified against the formula. *)
 
 type load_info = {
-  parse_seconds : float;
-      (** parse-only streaming pass over the input; 0 for in-memory
-          sources, where a separate pass would measure nothing new *)
   load_seconds : float;  (** [Solver.load] wall clock: parse + bulk load *)
   load_clauses : int;  (** clauses the bulk path streamed in *)
   load_literals : int;  (** literals the bulk path streamed in *)
@@ -86,20 +85,6 @@ val run_instance_streamed :
     models are re-verified against the original formula.  The
     differential against {!run_instance} is what keeps the fast path
     honest in CI. *)
-
-val run_instance_file :
-  ?budget:Berkmin.Solver.budget ->
-  Berkmin.Config.t ->
-  name:string ->
-  expected:Instance.expected ->
-  string ->
-  outcome * load_info
-(** Runs a DIMACS file through the streaming load path without ever
-    materializing the formula in memory: a parse-only pass (timed as
-    [parse_seconds]), then {!Berkmin.Solver.load_file}, then search.
-    Unlike {!run_instance}, [seconds] is {e wall} time — the full
-    tier's budgets are wall-clock.  SAT models are verified by one more
-    streaming pass over the file. *)
 
 val run_instance_portfolio :
   ?budget:Berkmin.Solver.budget ->

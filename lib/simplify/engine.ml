@@ -29,7 +29,8 @@
      unit itself was emitted.
 
    Root facts are assumed to be already derivable by the checker (the
-   solver logs every level-0 enqueue when simplification is active),
+   solver logs every level-0 enqueue whenever a proof logger is
+   attached),
    so they are never re-emitted here. *)
 
 open Berkmin_types

@@ -81,6 +81,7 @@ val run :
     already-established facts (the solver's level-0 trail): they seed
     the internal assignment and clean the database but are not
     re-emitted to the proof — the caller must have logged them (the
-    solver logs every level-0 enqueue while simplification is active).
+    solver logs every level-0 enqueue whenever a proof logger is
+    attached).
     The [proof] callback receives every Add/Delete in a forward-
     checkable order; pass [ignore] when no proof is wanted. *)

@@ -274,6 +274,30 @@ let solver_proof_cases =
         unsat_instances)
     configs
 
+(* Root facts must reach the proof with simplification off too.  With
+   restarts every 10 conflicts, [reduce_db] on this instance deletes a
+   learnt clause that was the only support of a level-0 fact; the
+   proof stays checkable only if that fact was logged as a unit when
+   it was derived. *)
+let test_root_fact_outlives_its_support () =
+  let cnf =
+    Berkmin_gen.Random_ksat.generate ~num_vars:30 ~num_clauses:150 ~k:3
+      ~seed:17
+  in
+  let config =
+    Berkmin.Config.with_restart_mode (Berkmin.Config.Fixed 10)
+      Berkmin.Config.berkmin
+  in
+  let solver = Berkmin.Solver.create ~config cnf in
+  let proof = Drup.create () in
+  Berkmin.Solver.set_proof_logger solver (Drup.record proof);
+  (match Berkmin.Solver.solve solver with
+  | Berkmin.Solver.Unsat -> ()
+  | Berkmin.Solver.Sat _ | Berkmin.Solver.Unknown ->
+    Alcotest.fail "expected UNSAT");
+  check Alcotest.string "proof" "valid"
+    (Drup.check_result_to_string (Drup.check cnf proof))
+
 let () =
   Alcotest.run "proof"
     [
@@ -320,5 +344,8 @@ let () =
           Alcotest.test_case "check_result_to_string" `Quick
             test_check_result_to_string;
         ] );
-      ("end-to-end", solver_proof_cases);
+      ( "end-to-end",
+        Alcotest.test_case "root fact outlives its support" `Quick
+          test_root_fact_outlives_its_support
+        :: solver_proof_cases );
     ]
