@@ -2213,57 +2213,21 @@ let pp_result fmt = function
 let metrics s =
   let m = Metrics.create () in
   let st = s.stats in
-  let int_gauge name f = ignore (Metrics.gauge m name (fun () -> float_of_int (f ()))) in
-  int_gauge "decisions" (fun () -> st.Stats.decisions);
-  int_gauge "top_clause_decisions" (fun () -> st.Stats.top_clause_decisions);
-  int_gauge "global_decisions" (fun () -> st.Stats.global_decisions);
-  int_gauge "conflicts" (fun () -> st.Stats.conflicts);
-  int_gauge "propagations" (fun () -> st.Stats.propagations);
-  int_gauge "binary_propagations" (fun () -> st.Stats.binary_propagations);
-  int_gauge "binary_conflicts" (fun () -> st.Stats.binary_conflicts);
-  int_gauge "watcher_visits" (fun () -> st.Stats.watcher_visits);
-  int_gauge "blocker_hits" (fun () -> st.Stats.blocker_hits);
-  int_gauge "top_cursor_steps" (fun () -> st.Stats.top_cursor_steps);
-  int_gauge "nb_two_cache_hits" (fun () -> st.Stats.nb_two_cache_hits);
-  int_gauge "clauses_exported" (fun () -> st.Stats.clauses_exported);
-  int_gauge "clauses_imported" (fun () -> st.Stats.clauses_imported);
-  int_gauge "imports_used_in_conflict" (fun () ->
-      st.Stats.imports_used_in_conflict);
+  let gauge name f = ignore (Metrics.gauge m name f) in
+  let int_gauge name f = gauge name (fun () -> float_of_int (f ())) in
+  List.iter
+    (fun { Stats.name; read; _ } ->
+      match read with
+      | Stats.Int _ when name = "arena_bytes" ->
+        int_gauge name (fun () -> Arena.bytes s.arena)
+      | Stats.Int f -> int_gauge name (fun () -> f st)
+      | Stats.Seconds f -> gauge (name ^ "_seconds") (fun () -> f st))
+    Stats.counters;
   int_gauge "binary_index_entries" (fun () -> Binary.num_entries s.binary);
-  int_gauge "restarts" (fun () -> st.Stats.restarts);
-  int_gauge "reductions" (fun () -> st.Stats.reductions);
-  int_gauge "simplify_runs" (fun () -> st.Stats.simplify_runs);
-  int_gauge "simplified_clauses" (fun () -> st.Stats.simplified_clauses);
-  int_gauge "eliminated_vars" (fun () -> st.Stats.eliminated_vars);
-  int_gauge "subsumed" (fun () -> st.Stats.subsumed);
-  int_gauge "strengthened" (fun () -> st.Stats.strengthened);
-  int_gauge "failed_literals" (fun () -> st.Stats.failed_literals);
-  int_gauge "gc_runs" (fun () -> st.Stats.gc_runs);
-  int_gauge "gc_reclaimed_bytes" (fun () -> st.Stats.gc_reclaimed_bytes);
-  int_gauge "arena_bytes" (fun () -> Arena.bytes s.arena);
   int_gauge "arena_wasted_bytes" (fun () -> Arena.wasted_bytes s.arena);
-  int_gauge "learnt_total" (fun () -> st.Stats.learnt_total);
-  int_gauge "learnt_literals" (fun () -> st.Stats.learnt_literals);
-  int_gauge "minimized_literals" (fun () -> st.Stats.minimized_literals);
-  int_gauge "saved_phase_hits" (fun () -> st.Stats.saved_phase_hits);
-  int_gauge "restart_seq_index" (fun () -> st.Stats.restart_seq_index);
-  int_gauge "glue_reduction_kept" (fun () -> st.Stats.glue_reduction_kept);
-  int_gauge "glue_reduction_dropped" (fun () ->
-      st.Stats.glue_reduction_dropped);
-  int_gauge "removed_clauses" (fun () -> st.Stats.removed_clauses);
-  int_gauge "max_live_clauses" (fun () -> st.Stats.max_live_clauses);
   int_gauge "learnt_live" (fun () -> Ivec.length s.learnt);
   int_gauge "original_clauses" (fun () -> s.n_original);
   int_gauge "decision_level" (fun () -> decision_level s);
   int_gauge "old_activity_threshold" (fun () -> s.old_threshold);
   int_gauge "trace_events" (fun () -> Trace.emitted s.tracer);
-  int_gauge "load_clauses" (fun () -> st.Stats.load_clauses);
-  int_gauge "load_literals" (fun () -> st.Stats.load_literals);
-  int_gauge "load_scratch_words" (fun () -> st.Stats.load_scratch_words);
-  ignore (Metrics.gauge m "time_bcp_seconds" (fun () -> st.Stats.time_bcp));
-  ignore
-    (Metrics.gauge m "time_analyze_seconds" (fun () -> st.Stats.time_analyze));
-  ignore
-    (Metrics.gauge m "time_reduce_seconds" (fun () -> st.Stats.time_reduce));
-  ignore (Metrics.gauge m "time_load_seconds" (fun () -> st.Stats.time_load));
   m

@@ -155,12 +155,13 @@ val close_trace : t -> unit
 (** Closes a JSONL trace channel, if any, and disables tracing. *)
 
 val metrics : t -> Metrics.t
-(** A pull-based metrics registry over the live solver: every
-    {!Stats.t} counter plus live gauges (learnt clauses in the
-    database, current decision level, the growing old-clause activity
-    bar, trace events emitted, per-phase CPU seconds).  Sampling reads
-    the solver's state at call time; the registry itself adds no cost
-    to the search. *)
+(** A pull-based metrics registry over the live solver: one gauge per
+    {!Stats.counters} row (a [Seconds] row as [<name>_seconds], and
+    [arena_bytes] read live from the arena) plus live gauges (learnt
+    clauses in the database, current decision level, the growing
+    old-clause activity bar, trace events emitted).  Sampling reads the
+    solver's state at call time; the registry itself adds no cost to
+    the search. *)
 
 val num_vars : t -> int
 

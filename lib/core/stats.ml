@@ -41,13 +41,10 @@ type t = {
   mutable time_bcp : float;
   mutable time_analyze : float;
   mutable time_reduce : float;
-  (* Bulk-load phase ({!Solver.load}): how much formula came through
-     the streaming DIMACS path and what it cost, before the first
-     propagation. *)
   mutable load_clauses : int;
   mutable load_literals : int;
   mutable load_scratch_words : int;
-  mutable time_load : float;  (* wall clock, unlike the CPU times above *)
+  mutable time_load : float;
 }
 
 let skin_cap = 1 lsl 16
@@ -99,51 +96,7 @@ let create () = {
   time_load = 0.0;
 }
 
-let reset t =
-  t.decisions <- 0;
-  t.top_clause_decisions <- 0;
-  t.global_decisions <- 0;
-  t.conflicts <- 0;
-  t.propagations <- 0;
-  t.binary_propagations <- 0;
-  t.binary_conflicts <- 0;
-  t.watcher_visits <- 0;
-  t.blocker_hits <- 0;
-  t.top_cursor_steps <- 0;
-  t.nb_two_cache_hits <- 0;
-  t.clauses_exported <- 0;
-  t.clauses_imported <- 0;
-  t.imports_used_in_conflict <- 0;
-  t.restarts <- 0;
-  t.reductions <- 0;
-  t.simplify_runs <- 0;
-  t.simplified_clauses <- 0;
-  t.eliminated_vars <- 0;
-  t.subsumed <- 0;
-  t.strengthened <- 0;
-  t.failed_literals <- 0;
-  t.gc_runs <- 0;
-  t.gc_reclaimed_bytes <- 0;
-  t.arena_bytes <- 0;
-  t.learnt_total <- 0;
-  t.learnt_literals <- 0;
-  t.minimized_literals <- 0;
-  t.saved_phase_hits <- 0;
-  t.restart_seq_index <- 0;
-  t.glue_reduction_kept <- 0;
-  t.glue_reduction_dropped <- 0;
-  t.removed_clauses <- 0;
-  t.max_live_clauses <- 0;
-  t.max_learnt_live <- 0;
-  t.skin <- Array.make 64 0;
-  t.skin_overflow <- 0;
-  t.time_bcp <- 0.0;
-  t.time_analyze <- 0.0;
-  t.time_reduce <- 0.0;
-  t.load_clauses <- 0;
-  t.load_literals <- 0;
-  t.load_scratch_words <- 0;
-  t.time_load <- 0.0
+let copy t = { t with skin = Array.copy t.skin }
 
 let record_skin t r =
   if r >= skin_cap then t.skin_overflow <- t.skin_overflow + 1
@@ -188,72 +141,172 @@ let skin_to_json t =
 let props_per_sec t ~seconds =
   if seconds <= 0.0 then 0.0 else float_of_int t.propagations /. seconds
 
+type reader =
+  | Int of (t -> int)
+  | Seconds of (t -> float)
+
+type counter = { name : string; meaning : string; read : reader }
+
+let count name meaning read = { name; meaning; read = Int read }
+let timer name meaning read = { name; meaning; read = Seconds read }
+
+let counters =
+  [
+    count "decisions" "branching decisions" (fun t -> t.decisions);
+    count "top_clause_decisions"
+      "decisions taken from the top unsatisfied learnt clause" (fun t ->
+        t.top_clause_decisions);
+    count "global_decisions"
+      "fallback whole-formula decisions, taken when every learnt clause is \
+       satisfied" (fun t -> t.global_decisions);
+    count "conflicts" "conflicts hit" (fun t -> t.conflicts);
+    count "propagations" "literals assigned by BCP" (fun t -> t.propagations);
+    count "binary_propagations"
+      "subset of `propagations` implied straight from the binary implication \
+       index, bypassing the watch lists and the arena" (fun t ->
+        t.binary_propagations);
+    count "binary_conflicts"
+      "conflicts detected inside the binary-implication drain, before any \
+       watch list or arena read" (fun t -> t.binary_conflicts);
+    count "watcher_visits"
+      "`(blocker, cref)` watcher pairs examined by BCP; binary clauses are not \
+       watched, so they never contribute" (fun t -> t.watcher_visits);
+    count "blocker_hits"
+      "watcher visits short-circuited by a true blocker, with no arena read"
+      (fun t -> t.blocker_hits);
+    count "top_cursor_steps"
+      "learnt-stack entries examined by the cached top-clause cursor; a \
+       rescan would pay one step per clause above the first unsatisfied one \
+       on every decision" (fun t -> t.top_cursor_steps);
+    count "nb_two_cache_hits"
+      "`nb_two` binary-degree lookups answered from the per-assignment-epoch \
+       memo instead of rescanning the index" (fun t -> t.nb_two_cache_hits);
+    count "clauses_exported"
+      "learnt clauses exported to portfolio siblings: passed the length/glue \
+       filter and the pipe write succeeded; 0 in sequential runs" (fun t ->
+        t.clauses_exported);
+    count "clauses_imported"
+      "foreign learnt clauses that landed after the filter, dedup and \
+       level-0 simplification; 0 in sequential runs" (fun t ->
+        t.clauses_imported);
+    count "imports_used_in_conflict"
+      "uses of an imported clause as an antecedent in conflict analysis: \
+       sharing that steered the search, not just arrived" (fun t ->
+        t.imports_used_in_conflict);
+    count "restarts" "restarts performed" (fun t -> t.restarts);
+    count "reductions" "clause-DB reduction passes" (fun t -> t.reductions);
+    count "simplify_runs"
+      "simplification passes (`lib/simplify`): one per presolve, plus one per \
+       restart under `--simplify inprocess`" (fun t -> t.simplify_runs);
+    count "simplified_clauses"
+      "clauses the simplifier removed: subsumed, satisfied at level 0, or \
+       resolved away by variable elimination" (fun t -> t.simplified_clauses);
+    count "eliminated_vars"
+      "variables removed by bounded variable elimination; models are \
+       reconstructed through the elimination stack" (fun t ->
+        t.eliminated_vars);
+    count "subsumed" "clauses dropped by backward subsumption" (fun t ->
+        t.subsumed);
+    count "strengthened"
+      "clauses shortened by self-subsuming resolution or by stripping \
+       literals false at level 0" (fun t -> t.strengthened);
+    count "failed_literals"
+      "level-0 probes over the binary implication graph that failed, each \
+       forcing the opposite unit" (fun t -> t.failed_literals);
+    count "gc_runs" "arena compactions performed" (fun t -> t.gc_runs);
+    count "gc_reclaimed_bytes" "clause bytes physically reclaimed by compaction"
+      (fun t -> t.gc_reclaimed_bytes);
+    count "arena_bytes"
+      "clause-arena footprint in bytes, as of the last allocation or \
+       compaction" (fun t -> t.arena_bytes);
+    count "learnt_total" "clauses learnt, units included" (fun t ->
+        t.learnt_total);
+    count "learnt_literals" "total literals across learnt clauses" (fun t ->
+        t.learnt_literals);
+    count "minimized_literals"
+      "literals removed by conflict-clause minimization (`--ccmin basic` or \
+       `deep`)" (fun t -> t.minimized_literals);
+    count "saved_phase_hits"
+      "decisions whose polarity came from the saved phase \
+       (`--phase-saving true`)" (fun t -> t.saved_phase_hits);
+    count "restart_seq_index"
+      "position in the restart sequence after the latest restart (the Luby \
+       index under `--restarts luby:N`); 0 before the first" (fun t ->
+        t.restart_seq_index);
+    count "glue_reduction_kept"
+      "learnt clauses kept by glue-driven reduction (`--reduce glue:N`) \
+       because their learn-time glue was at or below the limit" (fun t ->
+        t.glue_reduction_kept);
+    count "glue_reduction_dropped"
+      "learnt clauses deleted by glue-driven reduction: glue above the limit \
+       and outside the protected young band" (fun t ->
+        t.glue_reduction_dropped);
+    count "removed_clauses" "learnt clauses deleted by DB reduction" (fun t ->
+        t.removed_clauses);
+    count "max_live_clauses" "peak live clauses, original plus learnt"
+      (fun t -> t.max_live_clauses);
+    count "max_learnt_live" "peak live learnt clauses" (fun t ->
+        t.max_learnt_live);
+    count "skin_overflow" "decisions deeper than the 65536-bucket `skin` cap"
+      (fun t -> t.skin_overflow);
+    timer "time_bcp" "CPU seconds inside BCP, under `--profile`" (fun t ->
+        t.time_bcp);
+    timer "time_analyze" "CPU seconds in conflict analysis, under `--profile`"
+      (fun t -> t.time_analyze);
+    timer "time_reduce" "CPU seconds in DB reduction, under `--profile`"
+      (fun t -> t.time_reduce);
+    count "load_clauses"
+      "clauses stored by the bulk-load path (`Solver.load`), tautologies \
+       excluded" (fun t -> t.load_clauses);
+    count "load_literals"
+      "literals the bulk-load path read from the DIMACS text" (fun t ->
+        t.load_literals);
+    count "load_scratch_words"
+      "final parser scratch capacity: the largest-clause term of the \
+       streaming memory bound" (fun t -> t.load_scratch_words);
+    timer "time_load" "wall-clock seconds of the streaming parse and bulk load"
+      (fun t -> t.time_load);
+  ]
+
+let member t c =
+  ( c.name,
+    match c.read with Int f -> Json.Int (f t) | Seconds f -> Json.Float (f t) )
+
+let members rows t = List.map (member t) rows
+
+let select names =
+  let find name =
+    match List.find_opt (fun c -> c.name = name) counters with
+    | Some c -> c
+    | None -> invalid_arg ("Stats.select: no counter named " ^ name)
+  in
+  members (List.map find names)
+
 let to_json ?worker ?seconds t =
   let tag =
     match worker with
     | None -> []
     | Some w -> [ "worker", Json.Int w ]
   in
-  let base =
-    [
-      "decisions", Json.Int t.decisions;
-      "top_clause_decisions", Json.Int t.top_clause_decisions;
-      "global_decisions", Json.Int t.global_decisions;
-      "conflicts", Json.Int t.conflicts;
-      "propagations", Json.Int t.propagations;
-      "binary_propagations", Json.Int t.binary_propagations;
-      "binary_conflicts", Json.Int t.binary_conflicts;
-      "watcher_visits", Json.Int t.watcher_visits;
-      "blocker_hits", Json.Int t.blocker_hits;
-      "top_cursor_steps", Json.Int t.top_cursor_steps;
-      "nb_two_cache_hits", Json.Int t.nb_two_cache_hits;
-      "clauses_exported", Json.Int t.clauses_exported;
-      "clauses_imported", Json.Int t.clauses_imported;
-      "imports_used_in_conflict", Json.Int t.imports_used_in_conflict;
-      "restarts", Json.Int t.restarts;
-      "reductions", Json.Int t.reductions;
-      "simplify_runs", Json.Int t.simplify_runs;
-      "simplified_clauses", Json.Int t.simplified_clauses;
-      "eliminated_vars", Json.Int t.eliminated_vars;
-      "subsumed", Json.Int t.subsumed;
-      "strengthened", Json.Int t.strengthened;
-      "failed_literals", Json.Int t.failed_literals;
-      "gc_runs", Json.Int t.gc_runs;
-      "gc_reclaimed_bytes", Json.Int t.gc_reclaimed_bytes;
-      "arena_bytes", Json.Int t.arena_bytes;
-      "learnt_total", Json.Int t.learnt_total;
-      "learnt_literals", Json.Int t.learnt_literals;
-      "minimized_literals", Json.Int t.minimized_literals;
-      "saved_phase_hits", Json.Int t.saved_phase_hits;
-      "restart_seq_index", Json.Int t.restart_seq_index;
-      "glue_reduction_kept", Json.Int t.glue_reduction_kept;
-      "glue_reduction_dropped", Json.Int t.glue_reduction_dropped;
-      "removed_clauses", Json.Int t.removed_clauses;
-      "max_live_clauses", Json.Int t.max_live_clauses;
-      "max_learnt_live", Json.Int t.max_learnt_live;
-      "avg_learnt_length", Json.Float (avg_learnt_length t);
-      "skin", skin_to_json t;
-      "skin_overflow", Json.Int t.skin_overflow;
-      "time_bcp", Json.Float t.time_bcp;
-      "time_analyze", Json.Float t.time_analyze;
-      "time_reduce", Json.Float t.time_reduce;
-      "load_clauses", Json.Int t.load_clauses;
-      "load_literals", Json.Int t.load_literals;
-      "load_scratch_words", Json.Int t.load_scratch_words;
-      "time_load", Json.Float t.time_load;
-    ]
-  in
   let derived =
     match seconds with
     | None -> []
     | Some s ->
+      let rate = Json.Float (props_per_sec t ~seconds:s) in
       [
         "seconds", Json.Float s;
-        "props_per_sec", Json.Float (props_per_sec t ~seconds:s);
-        "propagations_per_sec", Json.Float (props_per_sec t ~seconds:s);
+        "props_per_sec", rate;
+        "propagations_per_sec", rate;
       ]
   in
-  Json.Obj (tag @ base @ derived)
+  Json.Obj
+    (tag
+    @ members counters t
+    @ [
+        "avg_learnt_length", Json.Float (avg_learnt_length t);
+        "skin", skin_to_json t;
+      ]
+    @ derived)
 
 let pp fmt t =
   Format.fprintf fmt
@@ -276,13 +329,17 @@ let pp fmt t =
        %d subsumed, %d strengthened, %d failed lits)"
       t.simplify_runs t.simplified_clauses t.eliminated_vars t.subsumed
       t.strengthened t.failed_literals;
-  (* restart_seq_index also ticks under the paper's fixed cadence
-     (where it equals the restart count, printed above), so it does
-     not gate this line on its own. *)
   if t.load_clauses > 0 then
     Format.fprintf fmt
       "@\nload           : %d clauses, %d literals in %.3fs (scratch %d words)"
       t.load_clauses t.load_literals t.time_load t.load_scratch_words;
+  if t.time_bcp > 0.0 || t.time_analyze > 0.0 || t.time_reduce > 0.0 then
+    Format.fprintf fmt
+      "@\nprofile        : bcp %.3fs, analyze %.3fs, reduce %.3fs (CPU)"
+      t.time_bcp t.time_analyze t.time_reduce;
+  (* restart_seq_index also ticks under the paper's fixed cadence
+     (where it equals the restart count, printed above), so it does
+     not gate this line on its own. *)
   if
     t.minimized_literals > 0 || t.saved_phase_hits > 0
     || t.glue_reduction_kept + t.glue_reduction_dropped > 0

@@ -8,105 +8,74 @@
 type t = {
   mutable decisions : int;
   mutable top_clause_decisions : int;
-      (** decisions taken from the current top clause *)
   mutable global_decisions : int;
-      (** fallback decisions when every learnt clause was satisfied *)
   mutable conflicts : int;
   mutable propagations : int;
   mutable binary_propagations : int;
-      (** literals implied straight from the binary implication index,
-          bypassing the watch lists and the arena entirely *)
   mutable binary_conflicts : int;
-      (** conflicts detected inside the binary implication drain *)
   mutable watcher_visits : int;
-      (** watcher pairs examined by BCP (each is a potential clause
-          inspection) *)
   mutable blocker_hits : int;
-      (** watcher visits short-circuited because the cached blocker
-          literal was already true — no arena read happened *)
   mutable top_cursor_steps : int;
-      (** learnt-stack entries examined by the cached top-clause
-          cursor; the naive per-decision rescan would pay one step per
-          clause above the first unsatisfied one, every time *)
   mutable nb_two_cache_hits : int;
-      (** [nb_two] neighbourhood counts answered from the per-epoch
-          memo instead of rescanning the binary index *)
   mutable clauses_exported : int;
-      (** learnt clauses this worker sent to the portfolio parent for
-          rebroadcast (passed the length/glue export filter and the
-          pipe write succeeded); always 0 in sequential runs *)
   mutable clauses_imported : int;
-      (** learnt clauses received from other portfolio workers that
-          actually landed in this solver (post-simplification,
-          post-dedup); always 0 in sequential runs *)
   mutable imports_used_in_conflict : int;
-      (** times an imported clause was an antecedent resolved by
-          conflict analysis — the direct measure of how much foreign
-          derivations steer this worker's search *)
   mutable restarts : int;
   mutable reductions : int;
   mutable simplify_runs : int;
-      (** clause-database simplification passes executed (pre-search
-          and inprocessing; see {!Config.simplify_mode}) *)
   mutable simplified_clauses : int;
-      (** clauses deleted outright by simplification: subsumed,
-          satisfied at the root, or removed by variable elimination *)
   mutable eliminated_vars : int;
-      (** variables removed by bounded variable elimination (their
-          models are repaired from the reconstruction stack) *)
-  mutable subsumed : int;  (** clauses deleted because a subset exists *)
+  mutable subsumed : int;
   mutable strengthened : int;
-      (** clauses shortened by self-subsuming resolution or root-level
-          false-literal stripping *)
   mutable failed_literals : int;
-      (** literals refuted by probing the binary implication graph;
-          each yields a top-level unit *)
-  mutable gc_runs : int;  (** arena compactions performed *)
+  mutable gc_runs : int;
   mutable gc_reclaimed_bytes : int;
-      (** total bytes of deleted clauses physically reclaimed by GC *)
   mutable arena_bytes : int;
-      (** clause-arena footprint in bytes, as of the last allocation
-          or GC *)
-  mutable learnt_total : int;  (** learnt clauses ever created (incl. units) *)
+  mutable learnt_total : int;
   mutable learnt_literals : int;
   mutable minimized_literals : int;
-      (** literals removed by optional learnt-clause minimization
-          ({!Config.ccmin_mode}) *)
   mutable saved_phase_hits : int;
-      (** decisions whose branch value came from the variable's saved
-          phase ({!Config.t.phase_saving}); always 0 when off *)
   mutable restart_seq_index : int;
-      (** index into the restart sequence after the most recent
-          restart (for [Luby n], the position whose term sets the
-          current interval); 0 before the first restart *)
   mutable glue_reduction_kept : int;
-      (** clauses kept unconditionally by a [Glue_lbd] reduction
-          because their learn-time glue was at or below the limit *)
   mutable glue_reduction_dropped : int;
-      (** clauses dropped by a [Glue_lbd] reduction (glue above the
-          limit and outside the young band) *)
   mutable removed_clauses : int;
   mutable max_live_clauses : int;
-      (** peak simultaneous clause count, original + live learnt *)
   mutable max_learnt_live : int;
   mutable skin : int array;  (** [skin.(r)] = decisions from stack distance [r] *)
-  mutable skin_overflow : int;  (** distances beyond the histogram capacity *)
+  mutable skin_overflow : int;
   mutable time_bcp : float;
-      (** CPU seconds inside BCP, when {!Config.t.profile_timers} *)
-  mutable time_analyze : float;  (** CPU seconds in conflict analysis *)
-  mutable time_reduce : float;  (** CPU seconds in database reduction *)
+  mutable time_analyze : float;
+  mutable time_reduce : float;
   mutable load_clauses : int;
-      (** clauses stored by the bulk-load path (tautologies excluded) *)
-  mutable load_literals : int;  (** literals read from the DIMACS stream *)
+  mutable load_literals : int;
   mutable load_scratch_words : int;
-      (** final parser scratch capacity — the O(largest clause) term of
-          the streaming memory bound *)
-  mutable time_load : float;  (** parse+load wall-clock seconds *)
+  mutable time_load : float;
 }
+(** One mutable field per counter, so a hot-path update is one store.
+    What each field counts is its row's [meaning] in {!counters}. *)
 
 val create : unit -> t
 
-val reset : t -> unit
+val copy : t -> t
+(** A frozen copy, histogram included. *)
+
+type reader =
+  | Int of (t -> int)
+  | Seconds of (t -> float)
+
+type counter = { name : string; meaning : string; read : reader }
+
+val counters : counter list
+(** One row per counter, in JSON order: its JSON key, what it counts
+    (the table in docs/OBSERVABILITY.md repeats this text, and a test
+    holds the two equal) and how to read it.  A new counter is one
+    record field, its {!create} value and one row here. *)
+
+val select : string list -> t -> (string * Berkmin_types.Json.t) list
+(** [select names] looks every name up in {!counters} at once, raising
+    [Invalid_argument] on a name that has no row, and returns a reader
+    of those counters as JSON members in the order given.  Apply it at
+    module initialisation so a misspelt name fails every run. *)
 
 val record_skin : t -> int -> unit
 (** Record a top-clause decision at stack distance [r] (grows the
@@ -125,16 +94,19 @@ val peak_ratio : t -> initial:int -> float
 
 val avg_learnt_length : t -> float
 
+val skin_to_json : t -> Berkmin_types.Json.t
+(** The histogram trimmed to its last non-zero bucket. *)
+
 val props_per_sec : t -> seconds:float -> float
 (** Propagations per second given the run's wall/CPU time; 0 when
     [seconds <= 0]. *)
 
 val to_json : ?worker:int -> ?seconds:float -> t -> Berkmin_types.Json.t
-(** Every counter as a JSON object (skin histogram trimmed to its last
-    non-zero bucket).  When [seconds] is passed, adds ["seconds"] and
-    the derived ["props_per_sec"] (also under its long alias
-    ["propagations_per_sec"]); [worker] prepends the portfolio worker
-    index so per-worker records are self-describing. *)
+(** Every row of {!counters}, then ["avg_learnt_length"] and the
+    trimmed ["skin"] histogram.  When [seconds] is passed, adds
+    ["seconds"] and the derived ["props_per_sec"] (also under its long
+    alias ["propagations_per_sec"]); [worker] prepends the portfolio
+    worker index so per-worker records are self-describing. *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable dump. *)

@@ -1,5 +1,6 @@
 open Berkmin_gen
 module Config = Berkmin.Config
+module Stats = Berkmin.Stats
 module Json = Berkmin_types.Json
 
 type opts = {
@@ -182,9 +183,7 @@ let table3 opts =
       (fun r ->
         Printf.sprintf "f(%d)" r
         :: List.map
-             (fun o ->
-               let skin = o.Runner.skin in
-               string_of_int (if r < Array.length skin then skin.(r) else 0))
+             (fun o -> string_of_int (Stats.skin_at o.Runner.stats r))
              outcomes)
       distances
   in
@@ -337,10 +336,10 @@ let table8 opts =
         [
           inst.Instance.name;
           Instance.expected_to_string inst.Instance.expected;
-          string_of_int ch.Runner.decisions
+          string_of_int ch.Runner.stats.Stats.decisions
           ^ (if ch.Runner.verdict = Runner.V_aborted then "*" else "");
           Table.seconds ch.Runner.seconds;
-          string_of_int bm.Runner.decisions
+          string_of_int bm.Runner.stats.Stats.decisions
           ^ (if bm.Runner.verdict = Runner.V_aborted then "*" else "");
           Table.seconds bm.Runner.seconds;
         ])
@@ -385,11 +384,10 @@ let table9 opts =
       instances
   in
   let gen_ratio (o : Runner.outcome) =
-    float_of_int (o.initial_clauses + o.learnt_total)
-    /. float_of_int (max o.initial_clauses 1)
+    Stats.db_ratio o.stats ~initial:o.initial_clauses
   in
   let peak_ratio (o : Runner.outcome) =
-    float_of_int o.max_live_clauses /. float_of_int (max o.initial_clauses 1)
+    Stats.peak_ratio o.stats ~initial:o.initial_clauses
   in
   let rows =
     List.map

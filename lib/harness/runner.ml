@@ -12,29 +12,8 @@ type outcome = {
   verdict : verdict;
   correct : bool;
   seconds : float;
-  conflicts : int;
-  decisions : int;
-  propagations : int;
-  binary_propagations : int;
-  watcher_visits : int;
-  blocker_hits : int;
-  top_cursor_steps : int;
-  nb_two_cache_hits : int;
-  clauses_exported : int;
-  clauses_imported : int;
-  imports_used_in_conflict : int;
-  gc_runs : int;
-  gc_reclaimed_bytes : int;
-  simplify_runs : int;
-  simplified_clauses : int;
-  eliminated_vars : int;
-  subsumed : int;
-  strengthened : int;
-  failed_literals : int;
-  learnt_total : int;
-  max_live_clauses : int;
   initial_clauses : int;
-  skin : int array;
+  stats : Berkmin.Stats.t;
 }
 
 let verdict_to_string = function
@@ -56,49 +35,40 @@ let is_correct inst = function
   | Berkmin.Solver.Unsat -> Instance.consistent inst ~sat:false
   | Berkmin.Solver.Unknown -> true
 
-let props_per_sec o =
-  if o.seconds <= 0.0 then 0.0
-  else float_of_int o.propagations /. o.seconds
+(* The counters of an outcome's JSON row, split around the rate. *)
+let leading_counters =
+  Berkmin.Stats.select
+    [ "conflicts"; "decisions"; "propagations"; "binary_propagations" ]
+
+let trailing_counters =
+  Berkmin.Stats.select
+    [
+      "watcher_visits"; "blocker_hits"; "top_cursor_steps";
+      "nb_two_cache_hits"; "clauses_exported"; "clauses_imported";
+      "imports_used_in_conflict"; "gc_runs"; "gc_reclaimed_bytes";
+      "simplify_runs"; "simplified_clauses"; "eliminated_vars"; "subsumed";
+      "strengthened"; "failed_literals"; "learnt_total"; "max_live_clauses";
+    ]
 
 let outcome_to_json o =
-  let skin_trimmed =
-    let last = ref (-1) in
-    Array.iteri (fun i n -> if n > 0 then last := i) o.skin;
-    List.init (!last + 1) (fun i -> Json.Int o.skin.(i))
+  let rate =
+    Json.Float (Berkmin.Stats.props_per_sec o.stats ~seconds:o.seconds)
   in
   Json.Obj
-    [
-      "instance", Json.String o.instance_name;
-      "expected", Json.String (Instance.expected_to_string o.expected);
-      "verdict", Json.String (verdict_to_string o.verdict);
-      "correct", Json.Bool o.correct;
-      "seconds", Json.Float o.seconds;
-      "conflicts", Json.Int o.conflicts;
-      "decisions", Json.Int o.decisions;
-      "propagations", Json.Int o.propagations;
-      "binary_propagations", Json.Int o.binary_propagations;
-      "props_per_sec", Json.Float (props_per_sec o);
-      "propagations_per_sec", Json.Float (props_per_sec o);
-      "watcher_visits", Json.Int o.watcher_visits;
-      "blocker_hits", Json.Int o.blocker_hits;
-      "top_cursor_steps", Json.Int o.top_cursor_steps;
-      "nb_two_cache_hits", Json.Int o.nb_two_cache_hits;
-      "clauses_exported", Json.Int o.clauses_exported;
-      "clauses_imported", Json.Int o.clauses_imported;
-      "imports_used_in_conflict", Json.Int o.imports_used_in_conflict;
-      "gc_runs", Json.Int o.gc_runs;
-      "gc_reclaimed_bytes", Json.Int o.gc_reclaimed_bytes;
-      "simplify_runs", Json.Int o.simplify_runs;
-      "simplified_clauses", Json.Int o.simplified_clauses;
-      "eliminated_vars", Json.Int o.eliminated_vars;
-      "subsumed", Json.Int o.subsumed;
-      "strengthened", Json.Int o.strengthened;
-      "failed_literals", Json.Int o.failed_literals;
-      "learnt_total", Json.Int o.learnt_total;
-      "max_live_clauses", Json.Int o.max_live_clauses;
-      "initial_clauses", Json.Int o.initial_clauses;
-      "skin", Json.List skin_trimmed;
-    ]
+    ([
+       "instance", Json.String o.instance_name;
+       "expected", Json.String (Instance.expected_to_string o.expected);
+       "verdict", Json.String (verdict_to_string o.verdict);
+       "correct", Json.Bool o.correct;
+       "seconds", Json.Float o.seconds;
+     ]
+    @ leading_counters o.stats
+    @ [ "props_per_sec", rate; "propagations_per_sec", rate ]
+    @ trailing_counters o.stats
+    @ [
+        "initial_clauses", Json.Int o.initial_clauses;
+        "skin", Berkmin.Stats.skin_to_json o.stats;
+      ])
 
 let default_budget =
   { Berkmin.Solver.max_conflicts = Some 500_000; max_seconds = Some 60.0 }
@@ -118,29 +88,8 @@ let outcome_of_stats ~name inst result ~seconds ~initial_clauses st =
     verdict = verdict_of_result result;
     correct = is_correct inst result;
     seconds;
-    conflicts = st.Berkmin.Stats.conflicts;
-    decisions = st.Berkmin.Stats.decisions;
-    propagations = st.Berkmin.Stats.propagations;
-    binary_propagations = st.Berkmin.Stats.binary_propagations;
-    watcher_visits = st.Berkmin.Stats.watcher_visits;
-    blocker_hits = st.Berkmin.Stats.blocker_hits;
-    top_cursor_steps = st.Berkmin.Stats.top_cursor_steps;
-    nb_two_cache_hits = st.Berkmin.Stats.nb_two_cache_hits;
-    clauses_exported = st.Berkmin.Stats.clauses_exported;
-    clauses_imported = st.Berkmin.Stats.clauses_imported;
-    imports_used_in_conflict = st.Berkmin.Stats.imports_used_in_conflict;
-    gc_runs = st.Berkmin.Stats.gc_runs;
-    gc_reclaimed_bytes = st.Berkmin.Stats.gc_reclaimed_bytes;
-    simplify_runs = st.Berkmin.Stats.simplify_runs;
-    simplified_clauses = st.Berkmin.Stats.simplified_clauses;
-    eliminated_vars = st.Berkmin.Stats.eliminated_vars;
-    subsumed = st.Berkmin.Stats.subsumed;
-    strengthened = st.Berkmin.Stats.strengthened;
-    failed_literals = st.Berkmin.Stats.failed_literals;
-    learnt_total = st.Berkmin.Stats.learnt_total;
-    max_live_clauses = st.Berkmin.Stats.max_live_clauses;
     initial_clauses;
-    skin = Array.copy st.Berkmin.Stats.skin;
+    stats = Berkmin.Stats.copy st;
   }
 
 (* Solves [inst] on a solver already built from it; [seconds] is the
@@ -160,35 +109,15 @@ let run_instance ?(budget = default_budget) config inst =
 (* ------------------------------------------------------------------ *)
 (* Streaming-load lane: the same outcome record, built from a solver
    constructed through [Berkmin.Solver.load] (the bulk path that
-   consumes DIMACS without ever materializing a [Cnf.t]).  The
-   [load_info] sidecar carries the load timing and counters the
-   outcome record has no room for.                                     *)
+   consumes DIMACS without ever materializing a [Cnf.t]).              *)
 
 module Dimacs = Berkmin_dimacs.Dimacs
-
-type load_info = {
-  load_seconds : float;
-  load_clauses : int;
-  load_literals : int;
-  load_scratch_words : int;
-  source_bytes : int;
-}
 
 let run_instance_streamed ?(budget = default_budget) config inst =
   let text = Dimacs.to_string inst.Instance.cnf in
   let solver = Berkmin.Solver.load_string ~config text in
-  let outcome =
-    solve_built ~budget ~name:("stream/" ^ inst.Instance.name) inst solver
-  in
-  let st = Berkmin.Solver.stats solver in
-  ( outcome,
-    {
-      load_seconds = st.Berkmin.Stats.time_load;
-      load_clauses = st.Berkmin.Stats.load_clauses;
-      load_literals = st.Berkmin.Stats.load_literals;
-      load_scratch_words = st.Berkmin.Stats.load_scratch_words;
-      source_bytes = String.length text;
-    } )
+  ( solve_built ~budget ~name:("stream/" ^ inst.Instance.name) inst solver,
+    String.length text )
 
 (* ------------------------------------------------------------------ *)
 (* Portfolio runs: the same outcome record, built from the winning

@@ -15,76 +15,37 @@ type outcome = {
   correct : bool;
       (** model verified / verdict consistent with the expectation *)
   seconds : float;  (** CPU seconds *)
-  conflicts : int;
-  decisions : int;
-  propagations : int;
-  binary_propagations : int;
-      (** literals implied straight from the binary implication index *)
-  watcher_visits : int;  (** watcher pairs examined by BCP *)
-  blocker_hits : int;  (** visits short-circuited by a true blocker *)
-  top_cursor_steps : int;  (** learnt-stack entries the decision cursor read *)
-  nb_two_cache_hits : int;  (** memoized nb_two neighbourhood lookups *)
-  clauses_exported : int;
-      (** learnt clauses this solver exported to portfolio peers; 0 in
-          sequential runs *)
-  clauses_imported : int;  (** foreign learnt clauses adopted; 0 sequential *)
-  imports_used_in_conflict : int;
-      (** conflict analyses in which an imported clause was an
-          antecedent — how often sharing actually steered the search *)
-  gc_runs : int;  (** arena compactions *)
-  gc_reclaimed_bytes : int;  (** clause bytes physically reclaimed *)
-  simplify_runs : int;  (** simplifier passes (lib/simplify) *)
-  simplified_clauses : int;
-      (** clauses removed by the simplifier: subsumed, satisfied, or
-          resolved away during variable elimination *)
-  eliminated_vars : int;  (** variables removed by bounded elimination *)
-  subsumed : int;  (** clauses dropped by backward subsumption *)
-  strengthened : int;
-      (** literals removed by self-subsuming resolution *)
-  failed_literals : int;  (** level-0 probes that failed (forced units) *)
-  learnt_total : int;
-  max_live_clauses : int;
   initial_clauses : int;
-  skin : int array;  (** Table 3 histogram *)
+  stats : Berkmin.Stats.t;  (** a frozen copy of the run's counters *)
 }
 
 val verdict_to_string : verdict -> string
 
 val verdict_of_result : Berkmin.Solver.result -> verdict
 
-val props_per_sec : outcome -> float
-(** Propagations per second of the run; 0 for zero-length runs. *)
-
 val outcome_to_json : outcome -> Berkmin_types.Json.t
 (** One instance run as a JSON object: name, expectation, verdict,
     time, conflicts/decisions/propagations, props/sec (also under the
-    long alias ["propagations_per_sec"]), watcher/blocker and GC
-    counters, database numbers and the trimmed skin histogram. *)
+    long alias ["propagations_per_sec"]), the work, sharing, GC and
+    simplifier counters picked by name from {!Berkmin.Stats.counters},
+    database numbers and the trimmed skin histogram. *)
 
 val run_instance :
   ?budget:Berkmin.Solver.budget -> Berkmin.Config.t -> Instance.t -> outcome
 (** Runs one instance; SAT models are re-verified against the formula. *)
 
-type load_info = {
-  load_seconds : float;  (** [Solver.load] wall clock: parse + bulk load *)
-  load_clauses : int;  (** clauses the bulk path streamed in *)
-  load_literals : int;  (** literals the bulk path streamed in *)
-  load_scratch_words : int;  (** final streaming scratch capacity *)
-  source_bytes : int;  (** DIMACS size, serialized text or file *)
-}
-
 val run_instance_streamed :
   ?budget:Berkmin.Solver.budget ->
   Berkmin.Config.t ->
   Instance.t ->
-  outcome * load_info
+  outcome * int
 (** Runs one instance through the streaming bulk-load path: the formula
     is serialized to DIMACS text and the solver built with
-    {!Berkmin.Solver.load_string} instead of [create].  The outcome is
-    named ["stream/<name>"] so a summary can hold both lanes; SAT
-    models are re-verified against the original formula.  The
-    differential against {!run_instance} is what keeps the fast path
-    honest in CI. *)
+    {!Berkmin.Solver.load_string} instead of [create].  Returns the
+    outcome, named ["stream/<name>"] so a summary can hold both lanes,
+    and the size of the DIMACS text in bytes; SAT models are re-verified
+    against the original formula.  The differential against
+    {!run_instance} is what keeps the fast path honest in CI. *)
 
 val run_instance_portfolio :
   ?budget:Berkmin.Solver.budget ->

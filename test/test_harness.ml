@@ -101,13 +101,14 @@ let test_stats_ratios () =
   check (Alcotest.float 0.001) "peak ratio" 3.5 (Stats.peak_ratio st ~initial:10);
   check (Alcotest.float 0.001) "zero initial" 0.0 (Stats.db_ratio st ~initial:0)
 
-let test_stats_reset () =
+(* --profile's phase timers reach the --stats block. *)
+let test_stats_pp_profile () =
   let st = Stats.create () in
-  st.Stats.conflicts <- 5;
-  Stats.record_skin st 3;
-  Stats.reset st;
-  check Alcotest.int "conflicts reset" 0 st.Stats.conflicts;
-  check Alcotest.int "skin reset" 0 (Stats.skin_at st 3)
+  st.Stats.time_bcp <- 0.25;
+  let lines = String.split_on_char '\n' (Format.asprintf "%a" Stats.pp st) in
+  check Alcotest.bool "profile line names the bcp timer" true
+    (List.mem "profile        : bcp 0.250s, analyze 0.000s, reduce 0.000s (CPU)"
+       lines)
 
 (* ------------------------------------------------------------------ *)
 
@@ -153,7 +154,7 @@ let () =
         [
           Alcotest.test_case "skin" `Quick test_stats_skin;
           Alcotest.test_case "ratios" `Quick test_stats_ratios;
-          Alcotest.test_case "reset" `Quick test_stats_reset;
+          Alcotest.test_case "pp profile" `Quick test_stats_pp_profile;
         ] );
       ( "config",
         [

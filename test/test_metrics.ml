@@ -282,17 +282,73 @@ let test_trace_heartbeat () =
     !beats
 
 let test_solver_metrics () =
-  let solver, _ = solve_hole 6 in
+  let solver, _ =
+    solve_hole ~config:(Config.with_profile_timers Config.berkmin) 6
+  in
   let st = Solver.stats solver in
   let snap = Solver.metrics solver |> Metrics.snapshot in
   let get name = List.assoc name snap in
-  check (Alcotest.float 0.0) "conflicts gauge"
-    (float_of_int st.Stats.conflicts)
-    (get "conflicts");
-  check (Alcotest.float 0.0) "propagations gauge"
-    (float_of_int st.Stats.propagations)
-    (get "propagations");
+  List.iter
+    (fun { Stats.name; read; _ } ->
+      let gauge, value =
+        match read with
+        | Stats.Int f -> (name, float_of_int (f st))
+        | Stats.Seconds f -> (name ^ "_seconds", f st)
+      in
+      check (Alcotest.float 0.0) (gauge ^ " gauge") value (get gauge))
+    Stats.counters;
   check (Alcotest.float 0.0) "no trace events" 0.0 (get "trace_events")
+
+(* The Statistics table of docs/OBSERVABILITY.md as (field, meaning)
+   pairs: the rows between its heading and the end of the table. *)
+let stats_doc_rows () =
+  let text =
+    In_channel.with_open_text "../docs/OBSERVABILITY.md" In_channel.input_all
+  in
+  let rec section = function
+    | [] -> Alcotest.fail "no Statistics section in docs/OBSERVABILITY.md"
+    | l :: rest ->
+      if l = "## Statistics object (`Stats.to_json`)" then rest
+      else section rest
+  in
+  let rec table acc = function
+    | l :: rest when String.length l > 0 && l.[0] = '|' -> table (l :: acc) rest
+    | _ :: rest when acc = [] -> table acc rest
+    | _ -> List.rev acc
+  in
+  List.filter_map
+    (fun line ->
+      match List.map String.trim (String.split_on_char '|' line) with
+      | [ ""; field; _; meaning; "" ]
+        when String.length field > 2 && field.[0] = '`' ->
+        Some (String.sub field 1 (String.length field - 2), meaning)
+      | _ -> None)
+    (table [] (section (String.split_on_char '\n' text)))
+
+let test_stats_select_unknown () =
+  Alcotest.check_raises "unknown name"
+    (Invalid_argument "Stats.select: no counter named conflict")
+    (fun () ->
+      let (_ : Stats.t -> _) = Stats.select [ "decisions"; "conflict" ] in
+      ())
+
+let test_stats_docs_table () =
+  let rows = stats_doc_rows () in
+  let keys =
+    match Stats.to_json ~worker:0 ~seconds:1.0 (Stats.create ()) with
+    | Json.Obj fields -> List.map fst fields
+    | _ -> Alcotest.fail "stats JSON is not an object"
+  in
+  check
+    Alcotest.(list string)
+    "one row per emitted key" (List.sort compare keys)
+    (List.sort compare (List.map fst rows));
+  List.iter
+    (fun { Stats.name; meaning; _ } ->
+      check
+        Alcotest.(option string)
+        (name ^ " meaning") (Some meaning) (List.assoc_opt name rows))
+    Stats.counters
 
 (* ------------------------------------------------------------------ *)
 
@@ -316,6 +372,9 @@ let () =
         [
           Alcotest.test_case "to_json roundtrip" `Quick
             test_stats_to_json_roundtrip;
+          Alcotest.test_case "select unknown name" `Quick
+            test_stats_select_unknown;
+          Alcotest.test_case "docs table" `Quick test_stats_docs_table;
         ] );
       ( "trace",
         [
