@@ -1231,8 +1231,8 @@ let extensions =
     & info [ "extensions" ]
         ~doc:
           "Also run the beyond-the-paper ablation sweeps (restart \
-           strategies, decision window, minimization, variable-order \
-           heap, DB constants, activity aging).")
+           strategies, decision window, minimization, DB constants, \
+           activity aging).")
 
 let smoke =
   Arg.(

@@ -272,9 +272,17 @@ let strategy =
            see --help).")
 
 let max_conflicts =
+  let non_negative =
+    Arg.conv
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= 0 -> Ok n
+          | Some _ | None -> Error (`Msg "expected a non-negative integer")),
+        Format.pp_print_int )
+  in
   Arg.(
     value
-    & opt (some int) None
+    & opt (some non_negative) None
     & info [ "max-conflicts" ] ~docv:"N" ~doc:"Abort after N conflicts.")
 
 let max_seconds =

@@ -43,20 +43,7 @@ let report_counterexample miter mapping model file_a a file_b b =
           (if vb then 1 else 0))
     oa
 
-(* Per-probe budget on a shared solver: the solver's [max_conflicts]
-   is absolute over its whole life, so each probe's allowance is
-   rebased on the conflicts already spent by earlier probes. *)
-let probe_budget solver max_conflicts max_seconds =
-  {
-    Solver.max_conflicts =
-      Option.map
-        (fun n -> (Solver.stats solver).Berkmin.Stats.conflicts + n)
-        max_conflicts;
-    max_seconds;
-  }
-
-let run_incremental ?config miter probes max_conflicts max_seconds verbose
-    file_a a file_b b =
+let run_incremental ?config ~budget miter probes verbose file_a a file_b b =
   let mapping = T.encode miter in
   let solver = Solver.create ?config mapping.T.cnf in
   let rec probe = function
@@ -68,7 +55,6 @@ let run_incremental ?config miter probes max_conflicts max_seconds verbose
     | (name, node) :: rest -> (
       let assumps = [ Lit.pos mapping.T.node_var.(node) ] in
       let before = (Solver.stats solver).Berkmin.Stats.conflicts in
-      let budget = probe_budget solver max_conflicts max_seconds in
       match Solver.solve ~budget ~assumps solver with
       | Solver.Unsat ->
         if verbose then
@@ -85,10 +71,9 @@ let run_incremental ?config miter probes max_conflicts max_seconds verbose
   in
   probe probes
 
-let run_oneshot ?config miter max_conflicts max_seconds file_a a file_b b =
+let run_oneshot ?config ~budget miter file_a a file_b b =
   let mapping = T.encode miter in
   T.assert_output miter mapping "miter" true;
-  let budget = { Solver.max_conflicts; max_seconds } in
   let solver = Solver.create ?config mapping.T.cnf in
   match Solver.solve ~budget solver with
   | Solver.Unsat ->
@@ -127,10 +112,10 @@ let run file_a file_b strategy max_conflicts max_seconds incremental verbose =
         Printf.eprintf "incompatible interfaces: %s\n" msg;
         2
       | miter, probes ->
+        let budget = { Solver.max_conflicts; max_seconds } in
         if incremental then
-          run_incremental ?config miter probes max_conflicts max_seconds
-            verbose file_a a file_b b
-        else run_oneshot ?config miter max_conflicts max_seconds file_a a file_b b))
+          run_incremental ?config ~budget miter probes verbose file_a a file_b b
+        else run_oneshot ?config ~budget miter file_a a file_b b))
 
 open Cmdliner
 
@@ -146,8 +131,16 @@ let strategy =
     & info [ "s"; "strategy" ] ~docv:"NAME" ~doc:"Solver preset.")
 
 let max_conflicts =
+  let non_negative =
+    Arg.conv
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= 0 -> Ok n
+          | Some _ | None -> Error (`Msg "expected a non-negative integer")),
+        Format.pp_print_int )
+  in
   Arg.(
-    value & opt (some int) None
+    value & opt (some non_negative) None
     & info [ "max-conflicts" ] ~docv:"N"
         ~doc:"Abort after N conflicts (per probe with --incremental).")
 

@@ -76,14 +76,13 @@ let check_incremental ?config ?budget seq ~bad ~max_bound =
   let rec deepen frame =
     if frame >= max_bound then Safe max_bound
     else
-      match
-        Berkmin.Solver.solve_with_assumptions ?budget solver [ bad_lit frame ]
-      with
-      | Berkmin.Solver.A_sat model ->
+      match Berkmin.Solver.solve ?budget ~assumps:[ bad_lit frame ] solver with
+      | Berkmin.Solver.Sat model ->
         Counterexample
           { depth = frame; frames = decode_trace seq unrolled m model ~depth:frame }
-      | Berkmin.Solver.A_unsat -> Safe max_bound
-      | Berkmin.Solver.A_unsat_assuming _ -> deepen (frame + 1)
-      | Berkmin.Solver.A_unknown -> Inconclusive
+      | Berkmin.Solver.Unsat ->
+        if Berkmin.Solver.unsat_core solver = Some [] then Safe max_bound
+        else deepen (frame + 1)
+      | Berkmin.Solver.Unknown -> Inconclusive
   in
   deepen 0

@@ -45,5 +45,6 @@ val check_incremental :
 (** Deepening strategy using one solver and assumption literals: the
     bound-[k] query assumes "bad fires at frame k" on a single
     unrolling of depth [max_bound], reusing learnt clauses across
-    depths — the standard incremental-BMC trick, exercising
-    {!Berkmin.Solver.solve_with_assumptions}. *)
+    depths — the standard incremental-BMC trick, one
+    {!Berkmin.Solver.solve} [~assumps] call per depth.  [budget]
+    applies to each depth's call on its own. *)

@@ -64,7 +64,6 @@ type t = {
   debug_top_cursor : bool;
   ccmin_mode : ccmin_mode;
   phase_saving : bool;
-  use_var_heap : bool;
   seed : int;
   trace_jsonl : string option;
   heartbeat_interval : int;
@@ -106,7 +105,6 @@ let berkmin = {
   debug_top_cursor = false;
   ccmin_mode = Ccmin_off;
   phase_saving = false;
-  use_var_heap = false;
   seed = 1;
   trace_jsonl = None;
   heartbeat_interval = 0;

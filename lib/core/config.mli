@@ -136,10 +136,6 @@ type t = {
           polarity and branch on it first, overriding the configured
           polarity heuristic for variables that have been assigned
           before; off in the paper's configuration *)
-  use_var_heap : bool;
-      (** BerkMin561 "strategy 3" (Remark 1): find the most active
-          free variable with an indexed heap instead of a linear scan —
-          same decisions, different cost *)
   seed : int;
   trace_jsonl : string option;
       (** when set, {!Solver.create} opens a JSONL trace sink on this

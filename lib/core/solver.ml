@@ -84,8 +84,7 @@ type t = {
       (* per decision level: the [glue_stamp] of the last conflict
          whose learnt clause had a literal at that level *)
   mutable glue_stamp : int;
-  heap : Var_heap.t option;  (* strategy-3 variable order, if enabled *)
-  mutable assumptions : Lit.t array;  (* active only inside solve_with_assumptions *)
+  mutable assumptions : Lit.t array;  (* active only inside [solve ~assumps] *)
   mutable last_core : Lit.t list option;
       (* failed-assumption core of the most recent [solve ~assumps] that
          came back UNSAT; [None] after any other outcome *)
@@ -197,10 +196,7 @@ let unassign s l =
   let v = Lit.var l in
   s.vals.(l) <- Value.Unassigned;
   s.vals.(Lit.negate l) <- Value.Unassigned;
-  s.reason.(v) <- Arena.cref_undef;
-  match s.heap with
-  | Some h -> Var_heap.push h v
-  | None -> ()
+  s.reason.(v) <- Arena.cref_undef
 
 let backtrack s lvl =
   if decision_level s > lvl then begin
@@ -494,11 +490,6 @@ let rescale_limit = 1e100
 
 let bump_var s v =
   s.var_act.(v) <- s.var_act.(v) +. 1.0;
-  (* Uniform rescaling and decay preserve the heap order; only the
-     single-key increase needs fixing up. *)
-  (match s.heap with
-  | Some h -> Var_heap.notify_increase h v
-  | None -> ());
   if s.var_act.(v) > rescale_limit then
     for u = 0 to s.nvars - 1 do
       s.var_act.(u) <- s.var_act.(u) *. 1e-100
@@ -1157,36 +1148,24 @@ let find_top_clauses s =
   end;
   found
 
-(* Most active free variable.  The naive linear scan is what the paper
-   benchmarked (Remark 1); the heap is BerkMin561's optimized
-   "strategy 3" — identical decisions, different cost profile. *)
+(* Most active free variable: the linear scan the paper benchmarked
+   (Remark 1).  BerkMin561's "strategy 3" heap makes the same picks; a
+   measured copy gained no resolvable time and cost ~11% peak RSS on the
+   incremental workload, so it is not kept. *)
 let most_active_free_var s =
-  match s.heap with
-  | Some h ->
-    let rec pop () =
-      if Var_heap.is_empty h then None
-      else begin
-        let v = Var_heap.pop_max h in
-        if lit_value s (Lit.pos v) <> Value.Unassigned || s.eliminated.(v)
-        then pop ()
-        else Some v
-      end
-    in
-    pop ()
-  | None ->
-    let best = ref (-1) in
-    let best_act = ref neg_infinity in
-    for v = 0 to s.nvars - 1 do
-      if
-        lit_value s (Lit.pos v) = Value.Unassigned
-        && (not s.eliminated.(v))
-        && s.var_act.(v) > !best_act
-      then begin
-        best := v;
-        best_act := s.var_act.(v)
-      end
-    done;
-    if !best < 0 then None else Some !best
+  let best = ref (-1) in
+  let best_act = ref neg_infinity in
+  for v = 0 to s.nvars - 1 do
+    if
+      lit_value s (Lit.pos v) = Value.Unassigned
+      && (not s.eliminated.(v))
+      && s.var_act.(v) > !best_act
+    then begin
+      best := v;
+      best_act := s.var_act.(v)
+    end
+  done;
+  if !best < 0 then None else Some !best
 
 let best_vsids_literal s =
   let best = ref (-1) in
@@ -1567,11 +1546,6 @@ let create ?(config = Config.berkmin) cnf =
   let nvars = Cnf.num_vars cnf in
   let nlits = max (2 * nvars) 1 in
   let var_act = Array.make (max nvars 1) 0.0 in
-  let heap =
-    if config.Config.use_var_heap then
-      Some (Var_heap.create ~num_vars:nvars ~activity:var_act)
-    else None
-  in
   let tracer = Trace.create () in
   (match config.Config.trace_jsonl with
   | Some path -> Trace.set_sink tracer (Trace.open_jsonl path)
@@ -1607,7 +1581,6 @@ let create ?(config = Config.berkmin) cnf =
     seen = Array.make (max nvars 1) false;
     level_stamp = Array.make (max nvars 1) 0;
     glue_stamp = 0;
-    heap;
     assumptions = [||];
     last_core = None;
     old_threshold = config.Config.old_activity_threshold;
@@ -1749,15 +1722,6 @@ let watch_invariant_violations s =
 (* ------------------------------------------------------------------ *)
 (* Main search loop.                                                   *)
 
-let over_budget s budget started =
-  (match budget.max_conflicts with
-  | Some m -> s.stats.conflicts >= m
-  | None -> false)
-  ||
-  match budget.max_seconds with
-  | Some secs -> Sys.time () -. started > secs
-  | None -> false
-
 let extract_model s =
   (* [vals] is padded to length >= 1 even for empty formulas, so
      build the model from the true variable count. *)
@@ -1776,11 +1740,26 @@ let extract_model s =
   if s.elim_stack <> [] then Berkmin_simplify.Recon.extend s.elim_stack m;
   m
 
-(* The main CDCL loop.  Returns an extended verdict so the assumption
-   interface can distinguish conditional unsatisfiability. *)
+let out_of_time budget started =
+  match budget.max_seconds with
+  | Some secs -> Sys.time () -. started > secs
+  | None -> false
+
+(* The main CDCL loop.  Both budget fields count from this call: the
+   conflict cap is checked once each conflict is fully processed, so
+   the run stops after exactly [max_conflicts] conflicts; the CPU-time
+   cap is read every 64 conflict-free iterations.  A failed assumption
+   returns [Unsat] with its core in [s.last_core]. *)
 let search s budget =
   let started = Sys.time () in
-  let verdict = ref None in
+  let conflict_cap =
+    match budget.max_conflicts with
+    | Some n -> s.stats.conflicts + Int.min n (max_int - s.stats.conflicts)
+    | None -> max_int
+  in
+  let verdict =
+    ref (if s.stats.conflicts >= conflict_cap then Some Unknown else None)
+  in
   let iter = ref 0 in
   let profile = s.cfg.profile_timers in
   while !verdict = None do
@@ -1815,7 +1794,7 @@ let search s budget =
       end;
       if dl = 0 then begin
         log_add s [||];
-        verdict := Some `Unsat
+        verdict := Some Unsat
       end
       else begin
         (* Conflicts inside the assumption prefix analyze normally:
@@ -1845,31 +1824,25 @@ let search s budget =
         backtrack s bt;
         record_learnt s ~glue lits;
         maybe_decay s;
-        if restart_due s then begin
-          restart s;
-          if not s.ok then begin
-            log_add s [||];
-            verdict := Some `Unsat
-          end
+        if restart_due s then restart s;
+        if not s.ok then begin
+          log_add s [||];
+          verdict := Some Unsat
         end
+        else if s.stats.conflicts >= conflict_cap then verdict := Some Unknown
       end
     end
-    else if !iter land 63 = 0 && over_budget s budget started then
-      verdict := Some `Unknown
+    else if !iter land 63 = 0 && out_of_time budget started then
+      verdict := Some Unknown
     else (
       match decide s with
-      | `All_assigned -> verdict := Some (`Sat (extract_model s))
+      | `All_assigned -> verdict := Some (Sat (extract_model s))
       | `Assumption_failed l ->
-        verdict := Some (`Unsat_assuming (analyze_final s l))
+        s.last_core <- Some (analyze_final s l);
+        verdict := Some Unsat
       | `Continue -> ())
   done;
   Option.get !verdict
-
-let to_plain = function
-  | `Sat m -> Sat m
-  | `Unsat -> Unsat
-  | `Unknown -> Unknown
-  | `Unsat_assuming _ -> assert false (* impossible without assumptions *)
 
 (* The pre-search simplification pass: once per solver, in both [pre]
    and [inprocess] modes, with [s.assumptions] already in place so
@@ -1881,95 +1854,69 @@ let maybe_presimplify s =
     simplify_now s
   end
 
-let solve_plain ?(budget = no_budget) s =
-  match s.verdict with
-  | Some (Sat _ | Unsat) -> Option.get s.verdict
-  | Some Unknown | None ->
-    if not s.ok then begin
-      log_add s [||];
-      s.verdict <- Some Unsat;
-      Unsat
-    end
-    else begin
-      s.assumptions <- [||];
-      maybe_presimplify s;
-      if not s.ok then begin
-        log_add s [||];
-        s.verdict <- Some Unsat;
-        Unsat
-      end
-      else begin
-        let r = to_plain (search s budget) in
-        s.verdict <- Some r;
-        r
-      end
-    end
+let check_assumption s l =
+  if l < 0 || Lit.var l >= s.nvars then
+    invalid_arg "Solver.solve: unknown variable";
+  if s.eliminated.(Lit.var l) then
+    invalid_arg "Solver.solve: variable eliminated by simplification"
 
-type assumption_result =
-  | A_sat of bool array
-  | A_unsat
-  | A_unsat_assuming of Lit.t list
-  | A_unknown
-
-let solve_with_assumptions ?(budget = no_budget) s assumptions =
-  match s.verdict with
-  | Some Unsat -> A_unsat
-  | Some (Sat _ | Unknown) | None ->
-    if not s.ok then begin
-      log_add s [||];
-      s.verdict <- Some Unsat;
-      A_unsat
-    end
-    else begin
-      List.iter
-        (fun l ->
-          if Lit.var l >= s.nvars then
-            invalid_arg "solve_with_assumptions: unknown variable";
-          if s.eliminated.(Lit.var l) then
-            invalid_arg
-              "solve_with_assumptions: variable eliminated by simplification")
-        assumptions;
-      backtrack s 0;
-      s.assumptions <- Array.of_list assumptions;
-      maybe_presimplify s;
-      let result =
+(* The one search entry.  A formula already known UNSAT answers before
+   any assumption is checked.  A plain solve caches its verdict,
+   resumes an [Unknown] run where it stopped and leaves a model on the
+   trail.  A solve under assumptions starts and ends at the root and
+   caches only a formula-level UNSAT: a conditional answer says nothing
+   about the next call's assumptions. *)
+let solve ?(budget = no_budget) ?(assumps = []) s =
+  (match budget.max_conflicts with
+  | Some n when n < 0 -> invalid_arg "Solver.solve: negative budget"
+  | Some _ | None -> ());
+  s.last_core <- None;
+  let result =
+    match s.verdict with
+    | Some Unsat -> Unsat
+    | Some (Sat _ as r) when assumps = [] -> r
+    | Some (Sat _ | Unknown) | None ->
+      if s.ok then begin
+        List.iter (check_assumption s) assumps;
+        if assumps <> [] then backtrack s 0;
+        s.assumptions <- Array.of_list assumps;
+        maybe_presimplify s
+      end;
+      let r =
         if s.ok then search s budget
         else begin
           log_add s [||];
-          `Unsat
+          Unsat
         end
       in
       s.assumptions <- [||];
-      let answer =
-        match result with
-        | `Sat m -> A_sat m
-        | `Unsat ->
-          s.verdict <- Some Unsat;
-          A_unsat
-        | `Unsat_assuming core -> A_unsat_assuming core
-        | `Unknown -> A_unknown
-      in
-      backtrack s 0;
-      (* A cached SAT verdict from a plain [solve] no longer reflects
-         the trail once we have backtracked; drop everything except a
-         definitive UNSAT. *)
-      (match s.verdict with
-      | Some Unsat -> ()
-      | Some (Sat _ | Unknown) | None -> s.verdict <- None);
-      answer
-    end
+      (* [search] sets a core only for a failed assumption, so an UNSAT
+         without one holds for the formula itself. *)
+      s.verdict <-
+        (match r with
+        | Unsat when s.last_core = None -> Some Unsat
+        | r when assumps = [] -> Some r
+        | Sat _ | Unsat | Unknown -> None);
+      if assumps <> [] then backtrack s 0;
+      r
+  in
+  (match result with
+  | Unsat when assumps <> [] && s.last_core = None -> s.last_core <- Some []
+  | Sat _ | Unsat | Unknown -> ());
+  result
+
+let unsat_core s = s.last_core
 
 (* ------------------------------------------------------------------ *)
 (* Incremental interface (MiniSat shape): [new_var] and [add_clause]
-   between solves, [solve ~assumps] with failed-core extraction,
-   [solve_limited] under a per-call conflict budget.  All learnt
+   between solves, [solve ~assumps] with failed-core extraction, each
+   call under its own budget.  All learnt
    clauses, variable/literal activities and polarity counters persist
    across calls — that retention is the whole point: related queries
    amortize each other's search. *)
 
 (* Widen every per-variable and per-literal array to cover [n]
-   variables.  Replaced arrays are re-announced to the heap (its key
-   array is ours). *)
+   variables. *)
 let ensure_var_capacity s n =
   let grow_arr a fill cap =
     let b = Array.make cap fill in
@@ -2016,11 +1963,6 @@ let new_var s =
   ensure_var_capacity s (v + 1);
   s.nvars <- v + 1;
   Binary.grow s.binary ~num_lits:(2 * s.nvars);
-  (match s.heap with
-  | Some h ->
-    Var_heap.grow h ~num_vars:s.nvars ~activity:s.var_act;
-    Var_heap.push h v
-  | None -> ());
   v
 
 let add_clause s lits =
@@ -2077,10 +2019,7 @@ let load ?config source =
     if v > s.nvars then begin
       ensure_var_capacity s v;
       s.nvars <- v;
-      Binary.grow s.binary ~num_lits:(2 * v);
-      match s.heap with
-      | Some h -> Var_heap.bulk_grow h ~num_vars:v ~activity:s.var_act
-      | None -> ()
+      Binary.grow s.binary ~num_lits:(2 * v)
     end
   in
   let on_header ~vars ~clauses =
@@ -2151,37 +2090,6 @@ let load_file ?config path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> load ?config (Dimacs.From_channel ic))
-
-let solve ?budget ?(assumps = []) s =
-  match assumps with
-  | [] ->
-    s.last_core <- None;
-    solve_plain ?budget s
-  | assumps -> (
-    match solve_with_assumptions ?budget s assumps with
-    | A_sat m ->
-      s.last_core <- None;
-      Sat m
-    | A_unsat ->
-      s.last_core <- Some [];
-      Unsat
-    | A_unsat_assuming core ->
-      s.last_core <- Some core;
-      Unsat
-    | A_unknown ->
-      s.last_core <- None;
-      Unknown)
-
-let solve_limited ?(assumps = []) s ~conflicts =
-  if conflicts < 0 then invalid_arg "Solver.solve_limited: negative budget";
-  (* [budget.max_conflicts] is absolute (cumulative across the solver's
-     lifetime); incremental callers think per call, so convert. *)
-  let budget =
-    { max_conflicts = Some (s.stats.conflicts + conflicts); max_seconds = None }
-  in
-  solve ~budget ~assumps s
-
-let unsat_core s = s.last_core
 
 let simplify s =
   invalidate_verdict s;

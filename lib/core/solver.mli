@@ -19,8 +19,14 @@ type result =
 
 type budget = {
   max_conflicts : int option;
-  max_seconds : float option;  (** CPU seconds via [Sys.time] *)
+      (** conflicts this call may spend; a call that runs out has
+          spent exactly this many *)
+  max_seconds : float option;
+      (** CPU seconds ([Sys.time]) this call's search may spend, read
+          every 64 conflict-free iterations *)
 }
+(** A per-call budget: both fields count from the start of the
+    {!solve} call they are passed to, whatever earlier calls spent. *)
 
 val no_budget : budget
 
@@ -63,11 +69,12 @@ val load_file : ?config:Config.t -> string -> t
     @raise Sys_error if the file cannot be opened. *)
 
 val solve : ?budget:budget -> ?assumps:Lit.t list -> t -> result
-(** Runs the search.  Without assumptions, a second call returns the
-    cached verdict unless the first ended in [Unknown], in which case
-    the search resumes with the new budget (budgets are absolute, e.g.
-    [max_conflicts 2000] after a run that already spent 1500 grants 500
-    more).
+(** Runs the search under [budget] (default {!no_budget}), which
+    counts from this call; [Unknown] means it ran out.  The solver stays
+    reusable after any outcome.  Without assumptions, a second call
+    returns the cached verdict unless the first ended in [Unknown], in
+    which case the search resumes where it stopped under the new
+    budget.
 
     With [~assumps], the literals are tried in order as the first
     decisions (pseudo-decisions below the real search).  [Unsat] then
@@ -75,7 +82,11 @@ val solve : ?budget:budget -> ?assumps:Lit.t list -> t -> result
     retrieves the failed-assumption core.  The solver backtracks to the
     root afterwards, so it can be reused with different assumptions;
     learnt clauses, activities and polarity counters are all retained
-    across calls. *)
+    across calls.
+    @raise Invalid_argument on a negative [max_conflicts], or an
+    assumption over a variable not yet allocated or eliminated by
+    {!simplify} (a formula already known UNSAT answers [Unsat]
+    without checking its assumptions). *)
 
 (** {2 Incremental interface}
 
@@ -107,14 +118,6 @@ val add_clause : t -> Lit.t list -> unit
     @raise Invalid_argument if the clause mentions a variable not yet
     allocated ([new_var] first). *)
 
-val solve_limited : ?assumps:Lit.t list -> t -> conflicts:int -> result
-(** [solve_limited s ~conflicts] runs {!solve} under a {e per-call}
-    conflict budget ([conflicts] more than already spent, unlike the
-    absolute [budget] of {!solve}); returns [Unknown] when the budget
-    is exhausted, leaving the solver reusable (learnt clauses from the
-    partial run are retained).
-    @raise Invalid_argument on a negative budget. *)
-
 val unsat_core : t -> Lit.t list option
 (** Failed-assumption core of the most recent [solve ~assumps] call
     that returned [Unsat]: [Some core] with [core] a subset of the
@@ -122,22 +125,6 @@ val unsat_core : t -> Lit.t list option
     [Some []] when the formula is unsatisfiable regardless of the
     assumptions.  [None] after any other outcome (including plain
     [solve]). *)
-
-type assumption_result =
-  | A_sat of bool array
-  | A_unsat  (** unsatisfiable regardless of the assumptions *)
-  | A_unsat_assuming of Lit.t list
-      (** unsatisfiable under the assumptions; the payload is a failed
-          core — a subset of the assumptions that already forces a
-          conflict *)
-  | A_unknown
-
-val solve_with_assumptions :
-  ?budget:budget -> t -> Lit.t list -> assumption_result
-(** Incremental interface: solves under the given assumption literals
-    (tried in order as the first decisions).  The solver backtracks to
-    the root afterwards, so it can be reused with different
-    assumptions; learnt clauses are kept across calls. *)
 
 val stats : t -> Stats.t
 

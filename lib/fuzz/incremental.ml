@@ -24,9 +24,9 @@ let check ?(queries = 4) ~seed cnf =
       (fun detail -> failures := { query; assumps; detail } :: !failures)
       fmt
   in
+  let budget = Solver.budget_conflicts per_query_conflicts in
   let fresh_verdict assumps =
-    let s = Solver.create (Cnf.copy base) in
-    Solver.solve ~budget:(Solver.budget_conflicts per_query_conflicts) ~assumps s
+    Solver.solve ~budget ~assumps (Solver.create (Cnf.copy base))
   in
   let check_model q assumps lane m =
     if not (Solver.check_model base m) then
@@ -61,17 +61,6 @@ let check ?(queries = 4) ~seed cnf =
       else
         List.init (Rng.int rng 5) (fun _ ->
             Lit.make (Rng.int rng num_vars) (Rng.bool rng))
-    in
-    (* rebase the resident budget on conflicts already spent so every
-       query gets the same allowance the fresh lane does *)
-    let budget =
-      {
-        Solver.max_conflicts =
-          Some
-            ((Solver.stats resident).Berkmin.Stats.conflicts
-            + per_query_conflicts);
-        max_seconds = None;
-      }
     in
     match Solver.solve ~budget ~assumps resident, fresh_verdict assumps with
     | Solver.Unknown, _ | _, Solver.Unknown -> ()  (* budget: no judgement *)

@@ -599,17 +599,6 @@ let ext_minimize opts =
       "Deep", { Config.berkmin with Config.ccmin_mode = Config.Ccmin_deep };
     ]
 
-let ext_varheap opts =
-  Table.section "Ablation — most-active-variable lookup (Remark 1 / BerkMin561 strategy 3)";
-  print_endline
-    "Identical decisions by construction; only the cost of the global\n\
-     variable scan differs (naive O(V) scan vs indexed heap).";
-  class_sweep ~name:"ext-varheap" opts
-    [
-      "Naive scan (paper)", Config.berkmin;
-      "Heap", { Config.berkmin with Config.use_var_heap = true };
-    ]
-
 let ext_dbparams opts =
   Table.section "Ablation — database-management constants (Section 8)";
   print_endline
@@ -668,7 +657,6 @@ let experiments = [
   "ext-restarts", ext_restarts;
   "ext-window", ext_window;
   "ext-minimize", ext_minimize;
-  "ext-varheap", ext_varheap;
   "ext-dbparams", ext_dbparams;
   "ext-decay", ext_decay;
 ]

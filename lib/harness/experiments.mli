@@ -57,9 +57,8 @@ val run_all : opts -> unit
 
 val run_extensions : opts -> unit
 (** The ablation sweeps beyond the paper: restart strategies
-    (conclusions), top-clause window (Remark 2), variable-order heap
-    (Remark 1), learnt-clause minimization, database-management and
-    activity-aging constants. *)
+    (conclusions), top-clause window (Remark 2), learnt-clause
+    minimization, database-management and activity-aging constants. *)
 
 val run_one : opts -> string -> bool
 (** [run_one opts name] with [name] one of {!names}; returns [false]
@@ -67,7 +66,7 @@ val run_one : opts -> string -> bool
 
 val names : string list
 (** ["table1" .. "table10", "figure1", "ext-restarts", "ext-window",
-    "ext-minimize", "ext-varheap", "ext-dbparams", "ext-decay"]. *)
+    "ext-minimize", "ext-dbparams", "ext-decay"]. *)
 
 val reset_json : unit -> unit
 (** Clears the machine-readable log the experiment drivers append to. *)

@@ -89,18 +89,8 @@ let stats_fields sess =
     "requests", Json.Int sess.requests;
   ]
 
-(* A solve's budget combines the session lifetime counter with the
-   per-request allowance: the solver's own [max_conflicts] is absolute
-   over the solver's whole life, so the request-relative cap is
-   rebased on the conflicts already spent. *)
-let budget_of solver max_conflicts max_ms =
-  {
-    Solver.max_conflicts =
-      Option.map
-        (fun n -> (Solver.stats solver).Stats.conflicts + n)
-        max_conflicts;
-    max_seconds = Option.map (fun ms -> ms /. 1000.) max_ms;
-  }
+let budget_of max_conflicts max_ms =
+  { Solver.max_conflicts; max_seconds = Option.map (fun ms -> ms /. 1000.) max_ms }
 
 type outcome = {
   response : (string * Json.t) list;  (* payload on success *)
@@ -175,7 +165,7 @@ let service t (req : Protocol.request) =
   | Solve { assumps; max_conflicts; max_ms } ->
     with_session t req.session (fun sess ->
         Metrics.incr t.c_solves;
-        let budget = budget_of sess.solver max_conflicts max_ms in
+        let budget = budget_of max_conflicts max_ms in
         match
           Metrics.time t.t_solve (fun () ->
               Solver.solve ~budget ~assumps sess.solver)

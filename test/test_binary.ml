@@ -76,10 +76,10 @@ let test_learnt_binary_enters_index () =
   in
   check Alcotest.int "no binaries loaded" 0 (Solver.num_binary_entries s);
   let a = Lit.of_dimacs 1 and b = Lit.of_dimacs 2 in
-  (match Solver.solve_with_assumptions s [ a; b ] with
-  | Solver.A_unsat_assuming _ -> ()
-  | Solver.A_sat _ | Solver.A_unsat | Solver.A_unknown ->
-    Alcotest.fail "expected failure under the assumptions");
+  let r = Solver.solve ~assumps:[ a; b ] s in
+  (match r, Solver.unsat_core s with
+  | Solver.Unsat, Some (_ :: _) -> ()
+  | _ -> Alcotest.fail "expected failure under the assumptions");
   check Alcotest.int "learnt 2-clause indexed both ways" 2
     (Solver.num_binary_entries s);
   check Alcotest.string "healthy index" ""

@@ -1,14 +1,12 @@
 (* Tests for the engine extensions beyond the paper's 2002
-   configuration: the Var_heap variable order (BerkMin561 strategy 3),
-   incremental solving with assumptions and failed cores, learnt-clause
-   minimization, the top-window decision generalisation (Remark 2),
-   and clause simplification and variable elimination on small
-   formulas through lib/simplify. *)
+   configuration: incremental solving with assumptions and failed
+   cores, learnt-clause minimization, the top-window decision
+   generalisation (Remark 2), and clause simplification and variable
+   elimination on small formulas through lib/simplify. *)
 
 open Berkmin_types
 module Solver = Berkmin.Solver
 module Config = Berkmin.Config
-module Var_heap = Berkmin.Var_heap
 module Engine = Berkmin_simplify.Engine
 module Recon = Berkmin_simplify.Recon
 module Drup = Berkmin_proof.Drup
@@ -23,167 +21,58 @@ let cnf_of lists =
   cnf
 
 (* ------------------------------------------------------------------ *)
-(* Var_heap                                                            *)
-
-let test_heap_basic () =
-  let activity = [| 1.0; 5.0; 3.0; 5.0 |] in
-  let h = Var_heap.create ~num_vars:4 ~activity in
-  check Alcotest.int "size" 4 (Var_heap.size h);
-  (* Max activity 5.0 shared by vars 1 and 3: smaller index first. *)
-  check Alcotest.int "max" 1 (Var_heap.pop_max h);
-  check Alcotest.int "next" 3 (Var_heap.pop_max h);
-  check Alcotest.int "then" 2 (Var_heap.pop_max h);
-  check Alcotest.int "last" 0 (Var_heap.pop_max h);
-  check Alcotest.bool "empty" true (Var_heap.is_empty h);
-  Alcotest.check_raises "pop empty" (Invalid_argument "Var_heap.pop_max: empty")
-    (fun () -> ignore (Var_heap.pop_max h))
-
-let test_heap_push_and_mem () =
-  let activity = [| 1.0; 2.0; 3.0 |] in
-  let h = Var_heap.create ~num_vars:3 ~activity in
-  check Alcotest.bool "mem 1" true (Var_heap.mem h 1);
-  ignore (Var_heap.pop_max h);
-  check Alcotest.bool "popped gone" false (Var_heap.mem h 2);
-  Var_heap.push h 2;
-  check Alcotest.bool "back" true (Var_heap.mem h 2);
-  Var_heap.push h 2;
-  check Alcotest.int "no duplicate" 3 (Var_heap.size h)
-
-let test_heap_notify_increase () =
-  let activity = [| 1.0; 2.0; 3.0; 4.0 |] in
-  let h = Var_heap.create ~num_vars:4 ~activity in
-  activity.(0) <- 10.0;
-  Var_heap.notify_increase h 0;
-  check Alcotest.int "promoted" 0 (Var_heap.pop_max h)
-
-let prop_heap_matches_naive_scan =
-  (* Drain the heap after a random mix of pops, pushes and increases;
-     each pop must match the naive scan on the live set. *)
-  QCheck.Test.make ~name:"var_heap: agrees with linear scan" ~count:300
-    QCheck.(pair (int_range 1 30) (list (pair (int_range 0 29) (int_range 0 100))))
-    (fun (n, updates) ->
-      let activity = Array.make n 0.0 in
-      let h = Var_heap.create ~num_vars:n ~activity in
-      let live = Array.make n true in
-      let naive_max () =
-        let best = ref (-1) in
-        for v = 0 to n - 1 do
-          if live.(v)
-             && (!best < 0
-                || activity.(v) > activity.(!best)
-                || (activity.(v) = activity.(!best) && v < !best))
-          then best := v
-        done;
-        !best
-      in
-      List.iter
-        (fun (v, bump) ->
-          let v = v mod n in
-          if bump mod 3 = 0 && live.(v) then begin
-            activity.(v) <- activity.(v) +. float_of_int bump;
-            Var_heap.notify_increase h v
-          end
-          else if bump mod 3 = 1 && not live.(v) then begin
-            live.(v) <- true;
-            Var_heap.push h v
-          end
-          else if live.(v) then begin
-            let expected = naive_max () in
-            let got = Var_heap.pop_max h in
-            if got <> expected then QCheck.Test.fail_report "pop mismatch";
-            live.(got) <- false
-          end)
-        updates;
-      (* Drain. *)
-      let ok = ref true in
-      while not (Var_heap.is_empty h) do
-        let expected = naive_max () in
-        let got = Var_heap.pop_max h in
-        if got <> expected then ok := false;
-        live.(got) <- false
-      done;
-      !ok)
-
-let test_heap_mode_same_decisions () =
-  (* strategy 3 must reproduce the naive scan's run exactly. *)
-  let cnf = Berkmin_gen.Pigeonhole.php 7 6 in
-  let run config =
-    let s = Solver.create ~config cnf in
-    ignore (Solver.solve s);
-    let st = Solver.stats s in
-    (st.Berkmin.Stats.decisions, st.Berkmin.Stats.conflicts)
-  in
-  check
-    (Alcotest.pair Alcotest.int Alcotest.int)
-    "identical traces"
-    (run Config.berkmin)
-    (run { Config.berkmin with Config.use_var_heap = true })
-
-let prop_heap_mode_identical_runs =
-  QCheck.Test.make ~name:"heap mode: identical run statistics" ~count:150
-    QCheck.(pair (int_range 3 10) (int_range 0 1_000_000))
-    (fun (nv, seed) ->
-      let cnf =
-        Berkmin_gen.Random_ksat.generate ~num_vars:nv ~num_clauses:(4 * nv)
-          ~k:3 ~seed
-      in
-      let run config =
-        let s = Solver.create ~config cnf in
-        let r = Solver.solve s in
-        let st = Solver.stats s in
-        ( (match r with Solver.Sat _ -> 1 | Solver.Unsat -> 0 | Solver.Unknown -> 2),
-          st.Berkmin.Stats.decisions,
-          st.Berkmin.Stats.conflicts,
-          st.Berkmin.Stats.propagations )
-      in
-      run Config.berkmin
-      = run { Config.berkmin with Config.use_var_heap = true })
-
-(* ------------------------------------------------------------------ *)
 (* Assumptions                                                         *)
+
+(* The failed core of an UNSAT [solve ~assumps]: [Some []] when the
+   formula is UNSAT on its own. *)
+let core_of s =
+  match Solver.unsat_core s with
+  | Some core -> core
+  | None -> Alcotest.fail "UNSAT under assumptions without a core"
 
 let test_assumptions_basic () =
   (* (x | y): SAT under x=0; UNSAT under x=0, y=0. *)
   let s = Solver.create (cnf_of [ [ 1; 2 ] ]) in
-  (match Solver.solve_with_assumptions s [ Lit.neg_of 0 ] with
-  | Solver.A_sat m ->
+  (match Solver.solve ~assumps:[ Lit.neg_of 0 ] s with
+  | Solver.Sat m ->
     check Alcotest.bool "x false" false m.(0);
     check Alcotest.bool "y true" true m.(1)
-  | Solver.A_unsat | Solver.A_unsat_assuming _ | Solver.A_unknown ->
-    Alcotest.fail "expected SAT");
-  match Solver.solve_with_assumptions s [ Lit.neg_of 0; Lit.neg_of 1 ] with
-  | Solver.A_unsat_assuming core ->
+  | Solver.Unsat | Solver.Unknown -> Alcotest.fail "expected SAT");
+  match Solver.solve ~assumps:[ Lit.neg_of 0; Lit.neg_of 1 ] s with
+  | Solver.Unsat ->
+    let core = core_of s in
     check Alcotest.bool "core subset of assumptions" true
       (List.for_all (fun l -> List.mem l [ Lit.neg_of 0; Lit.neg_of 1 ]) core);
     check Alcotest.bool "core nonempty" true (core <> [])
-  | Solver.A_sat _ | Solver.A_unsat | Solver.A_unknown ->
+  | Solver.Sat _ | Solver.Unknown ->
     Alcotest.fail "expected UNSAT under assumptions"
 
 let test_assumptions_global_unsat () =
   let s = Solver.create (cnf_of [ [ 1 ]; [ -1 ] ]) in
-  match Solver.solve_with_assumptions s [ Lit.pos 1 ] with
-  | Solver.A_unsat -> ()
-  | Solver.A_sat _ | Solver.A_unsat_assuming _ | Solver.A_unknown ->
+  match Solver.solve ~assumps:[ Lit.pos 1 ] s with
+  | Solver.Unsat ->
+    check (Alcotest.list Alcotest.int) "formula-level core" [] (core_of s)
+  | Solver.Sat _ | Solver.Unknown ->
     Alcotest.fail "globally UNSAT regardless of assumptions"
 
 let test_assumptions_contradictory () =
   let s = Solver.create (cnf_of [ [ 1; 2 ] ]) in
-  match Solver.solve_with_assumptions s [ Lit.pos 0; Lit.neg_of 0 ] with
-  | Solver.A_unsat_assuming core ->
+  match Solver.solve ~assumps:[ Lit.pos 0; Lit.neg_of 0 ] s with
+  | Solver.Unsat ->
+    let core = core_of s in
     check Alcotest.bool "both phases in core" true
       (List.mem (Lit.pos 0) core && List.mem (Lit.neg_of 0) core)
-  | Solver.A_sat _ | Solver.A_unsat | Solver.A_unknown ->
-    Alcotest.fail "expected failure"
+  | Solver.Sat _ | Solver.Unknown -> Alcotest.fail "expected failure"
 
 let test_assumptions_reusable () =
   (* The same solver answers a sequence of queries — the incremental
      use case (e.g. one miter, many output assumptions). *)
   let s = Solver.create (cnf_of [ [ 1; 2 ]; [ -1; 3 ]; [ -2; 3 ] ]) in
-  let sat assumptions =
-    match Solver.solve_with_assumptions s assumptions with
-    | Solver.A_sat _ -> true
-    | Solver.A_unsat | Solver.A_unsat_assuming _ -> false
-    | Solver.A_unknown -> Alcotest.fail "unexpected Unknown"
+  let sat assumps =
+    match Solver.solve ~assumps s with
+    | Solver.Sat _ -> true
+    | Solver.Unsat -> false
+    | Solver.Unknown -> Alcotest.fail "unexpected Unknown"
   in
   check Alcotest.bool "q1" true (sat [ Lit.pos 0 ]);
   check Alcotest.bool "q2: ~z forces ~x,~y conflict" false (sat [ Lit.neg_of 2 ]);
@@ -197,11 +86,11 @@ let test_assumptions_reusable () =
 let test_assumptions_unknown_var_rejected () =
   let s = Solver.create (cnf_of [ [ 1 ] ]) in
   Alcotest.check_raises "unknown variable"
-    (Invalid_argument "solve_with_assumptions: unknown variable") (fun () ->
-      ignore (Solver.solve_with_assumptions s [ Lit.pos 99 ]))
+    (Invalid_argument "Solver.solve: unknown variable") (fun () ->
+      ignore (Solver.solve ~assumps:[ Lit.pos 99 ] s))
 
 let prop_assumptions_agree_with_conjoined =
-  (* solve_with_assumptions F A must equal solve (F ∧ A as units). *)
+  (* solve ~assumps:A F must equal solve (F ∧ A as units). *)
   QCheck.Test.make ~name:"assumptions = conjoined units" ~count:400
     QCheck.(triple (int_range 3 10) (int_range 0 1_000_000) (int_range 1 3))
     (fun (nv, seed, n_assumptions) ->
@@ -223,15 +112,15 @@ let prop_assumptions_agree_with_conjoined =
         | Solver.Unknown -> QCheck.assume_fail ()
       in
       let s = Solver.create cnf in
-      match Solver.solve_with_assumptions s assumptions with
-      | Solver.A_sat m ->
+      match Solver.solve ~assumps:assumptions s with
+      | Solver.Sat m ->
         expected
         && Cnf.satisfied_by cnf m
         && List.for_all
              (fun l -> m.(Lit.var l) = Lit.is_pos l)
              assumptions
-      | Solver.A_unsat | Solver.A_unsat_assuming _ -> not expected
-      | Solver.A_unknown -> QCheck.Test.fail_report "unexpected Unknown")
+      | Solver.Unsat -> not expected
+      | Solver.Unknown -> QCheck.Test.fail_report "unexpected Unknown")
 
 let prop_failed_core_is_sufficient =
   (* Re-solving under just the failed core must still be UNSAT. *)
@@ -247,15 +136,14 @@ let prop_failed_core_is_sufficient =
         List.init 3 (fun _ -> Lit.make (Rng.int rng nv) (Rng.bool rng))
       in
       let s = Solver.create cnf in
-      match Solver.solve_with_assumptions s assumptions with
-      | Solver.A_unsat_assuming core -> (
-        let s2 = Solver.create cnf in
-        match Solver.solve_with_assumptions s2 core with
-        | Solver.A_unsat_assuming _ | Solver.A_unsat -> true
-        | Solver.A_sat _ -> QCheck.Test.fail_report "core was not contradictory"
-        | Solver.A_unknown -> QCheck.Test.fail_report "unexpected Unknown")
-      | Solver.A_sat _ | Solver.A_unsat -> QCheck.assume_fail ()
-      | Solver.A_unknown -> QCheck.Test.fail_report "unexpected Unknown")
+      match Solver.solve ~assumps:assumptions s with
+      | Solver.Unsat when Solver.unsat_core s <> Some [] -> (
+        match Solver.solve ~assumps:(core_of s) (Solver.create cnf) with
+        | Solver.Unsat -> true
+        | Solver.Sat _ -> QCheck.Test.fail_report "core was not contradictory"
+        | Solver.Unknown -> QCheck.Test.fail_report "unexpected Unknown")
+      | Solver.Sat _ | Solver.Unsat -> QCheck.assume_fail ()
+      | Solver.Unknown -> QCheck.Test.fail_report "unexpected Unknown")
 
 let test_assumptions_incremental_equivalence_queries () =
   (* The classic EDA use: one Tseitin encoding, per-output queries. *)
@@ -276,10 +164,10 @@ let test_assumptions_incremental_equivalence_queries () =
   List.iteri
     (fun i _ ->
       let out = C.output_exn c (Printf.sprintf "d%d" i) in
-      match Solver.solve_with_assumptions solver [ Lit.pos m.T.node_var.(out) ] with
-      | Solver.A_unsat | Solver.A_unsat_assuming _ -> ()
-      | Solver.A_sat _ -> Alcotest.fail (Printf.sprintf "output %d differs" i)
-      | Solver.A_unknown -> Alcotest.fail "unexpected Unknown")
+      match Solver.solve ~assumps:[ Lit.pos m.T.node_var.(out) ] solver with
+      | Solver.Unsat -> ()
+      | Solver.Sat _ -> Alcotest.fail (Printf.sprintf "output %d differs" i)
+      | Solver.Unknown -> Alcotest.fail "unexpected Unknown")
     diffs
 
 (* ------------------------------------------------------------------ *)
@@ -608,16 +496,6 @@ let prop_pipeline =
 let () =
   Alcotest.run "extensions"
     [
-      ( "var_heap",
-        [
-          Alcotest.test_case "basic order" `Quick test_heap_basic;
-          Alcotest.test_case "push/mem" `Quick test_heap_push_and_mem;
-          Alcotest.test_case "notify_increase" `Quick test_heap_notify_increase;
-          qtest prop_heap_matches_naive_scan;
-          Alcotest.test_case "same decisions as naive" `Quick
-            test_heap_mode_same_decisions;
-          qtest prop_heap_mode_identical_runs;
-        ] );
       ( "assumptions",
         [
           Alcotest.test_case "basic" `Quick test_assumptions_basic;

@@ -125,7 +125,7 @@ let test_config_presets_distinct () =
 
 let test_experiment_names () =
   let names = Berkmin_harness.Experiments.names in
-  check Alcotest.int "seventeen experiments" 17 (List.length names);
+  check Alcotest.int "sixteen experiments" 16 (List.length names);
   check Alcotest.bool "table7 present" true (List.mem "table7" names);
   check Alcotest.bool "figure1 present" true (List.mem "figure1" names);
   check Alcotest.bool "ext-restarts present" true (List.mem "ext-restarts" names);

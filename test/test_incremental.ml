@@ -203,18 +203,19 @@ let test_learnt_retention () =
 (* ------------------------------------------------------------------ *)
 (* Per-call budgets                                                    *)
 
-let test_solve_limited () =
+let test_budget_convergence () =
   let cnf = Random_ksat.generate ~num_vars:150 ~num_clauses:640 ~k:3 ~seed:11 in
   let s = Solver.create cnf in
+  let limited n = Solver.solve ~budget:(Solver.budget_conflicts n) s in
   check Alcotest.bool "zero budget exhausts immediately" true
-    (Solver.solve_limited s ~conflicts:0 = Solver.Unknown);
+    (limited 0 = Solver.Unknown);
   (* budget is per call, not lifetime: a second limited call makes
      progress instead of dying on the spent counter *)
   let r = ref Solver.Unknown in
   let calls = ref 0 in
   while !r = Solver.Unknown && !calls < 200 do
     incr calls;
-    r := Solver.solve_limited s ~conflicts:50
+    r := limited 50
   done;
   check Alcotest.bool "bounded calls converge" true (!r <> Solver.Unknown);
   (* verdict matches a fresh unbounded solve *)
@@ -222,8 +223,21 @@ let test_solve_limited () =
   check Alcotest.string "limited convergence agrees with one-shot"
     (verdict_name fresh) (verdict_name !r);
   Alcotest.check_raises "negative budget"
-    (Invalid_argument "Solver.solve_limited: negative budget") (fun () ->
-      ignore (Solver.solve_limited s ~conflicts:(-1)))
+    (Invalid_argument "Solver.solve: negative budget") (fun () ->
+      ignore (limited (-1)))
+
+(* The conflict cap is checked after every conflict, not on a sampling
+   stride, so a run spends exactly its budget, counted from the call. *)
+let test_exact_conflict_budget () =
+  let s = Solver.create (Pigeonhole.php 8 7) in
+  let spent n =
+    let before = (Solver.stats s).Berkmin.Stats.conflicts in
+    let r = Solver.solve ~budget:(Solver.budget_conflicts n) s in
+    check Alcotest.string "budget runs out" "UNKNOWN" (verdict_name r);
+    (Solver.stats s).Berkmin.Stats.conflicts - before
+  in
+  check Alcotest.int "first call" 344 (spent 344);
+  check Alcotest.int "second call on the spent solver" 100 (spent 100)
 
 (* ------------------------------------------------------------------ *)
 (* GC between solves                                                   *)
@@ -313,7 +327,13 @@ let () =
       ( "retention",
         [ Alcotest.test_case "learnt clauses persist" `Quick test_learnt_retention ]
       );
-      ("budgets", [ Alcotest.test_case "solve_limited" `Quick test_solve_limited ]);
+      ( "budgets",
+        [
+          Alcotest.test_case "per-call convergence" `Quick
+            test_budget_convergence;
+          Alcotest.test_case "exact conflict budget" `Quick
+            test_exact_conflict_budget;
+        ] );
       ("gc", [ Alcotest.test_case "compact between solves" `Quick test_gc_between_solves ]);
       ( "differential",
         [ Alcotest.test_case "resident vs fresh" `Quick test_differential_mini ] );

@@ -141,12 +141,11 @@ let test_errors_and_echo () =
     (handle_ok tiny (obj [ "op", str "open"; "session", str "two" ]))
     "session limit"
 
-let test_budget_exhaustion () =
-  let server = Server.create () in
+(* Session "h" holding php 7 6, sent through the wire: hard enough
+   that a few conflicts cannot solve it. *)
+let open_php_session server =
   assert_ok
     (handle_ok server (obj [ "op", str "open"; "session", str "h"; "vars", int 0 ]));
-  (* php 7 6 through the wire: hard enough that 1 conflict cannot solve
-     it, so a tiny per-request budget must degrade to "unknown" *)
   let cnf = Berkmin_gen.Pigeonhole.php 7 6 in
   let clauses =
     List.map
@@ -166,7 +165,12 @@ let test_budget_exhaustion () =
     (handle_ok server
        (obj
           [ "op", str "add_clauses"; "session", str "h";
-            "clauses", Json.List clauses ]));
+            "clauses", Json.List clauses ]))
+
+let test_budget_exhaustion () =
+  let server = Server.create () in
+  (* a tiny per-request budget must degrade to "unknown" *)
+  open_php_session server;
   let r =
     handle_ok server
       (obj
@@ -177,6 +181,30 @@ let test_budget_exhaustion () =
      learnt clauses retained) and an unbounded one finishes the job *)
   let r = handle_ok server (obj [ "op", str "solve"; "session", str "h" ]) in
   check Alcotest.string "resident solver converges" "unsat" (status_of r)
+
+(* Each budgeted request spends exactly its own allowance, whatever
+   the session spent before. *)
+let test_budget_is_exact () =
+  let server = Server.create () in
+  open_php_session server;
+  let conflicts () =
+    let r = handle_ok server (obj [ "op", str "stats"; "session", str "h" ]) in
+    match Json.member "conflicts" r with
+    | Some (Json.Int n) -> n
+    | _ -> Alcotest.failf "no conflicts in %s" (Json.to_string r)
+  in
+  for call = 1 to 3 do
+    let before = conflicts () in
+    let r =
+      handle_ok server
+        (obj [ "op", str "solve"; "session", str "h"; "max_conflicts", int 5 ])
+    in
+    check Alcotest.string "budget exhausted" "unknown" (status_of r);
+    check Alcotest.int
+      (Printf.sprintf "call %d spends its 5 conflicts" call)
+      5
+      (conflicts () - before)
+  done
 
 let test_trace_and_metrics () =
   let server = Server.create () in
@@ -300,6 +328,7 @@ let () =
           Alcotest.test_case "lifecycle" `Quick test_session_lifecycle;
           Alcotest.test_case "errors and id echo" `Quick test_errors_and_echo;
           Alcotest.test_case "budget exhaustion" `Quick test_budget_exhaustion;
+          Alcotest.test_case "budget is exact" `Quick test_budget_is_exact;
         ] );
       ( "observability",
         [ Alcotest.test_case "trace and metrics" `Quick test_trace_and_metrics ]

@@ -292,8 +292,7 @@ let test_solver_guards_eliminated () =
       (Invalid_argument "Solver.add_clause: variable eliminated by simplification")
       (fun () -> Solver.add_clause s [ lit d ]);
     Alcotest.check_raises "assumptions reject eliminated var"
-      (Invalid_argument
-         "solve_with_assumptions: variable eliminated by simplification")
+      (Invalid_argument "Solver.solve: variable eliminated by simplification")
       (fun () -> ignore (Solver.solve ~assumps:[ lit d ] s))
 
 let test_solver_assumption_vars_frozen () =
