@@ -83,7 +83,7 @@ let simplify_counters =
     ]
 
 let run_simplify_smoke instances plain_outcomes =
-  let config = Config.with_simplify Config.Simp_pre Config.berkmin in
+  let config = { Config.berkmin with simplify = Simp_pre } in
   let budget = Runner.quick_budget in
   let rows =
     List.map2
@@ -299,19 +299,17 @@ let ablation_rows =
   [
     ("baseline", Config.berkmin, []);
     ( "ccmin-basic",
-      Config.with_ccmin Config.Ccmin_basic Config.berkmin,
+      { Config.berkmin with ccmin_mode = Ccmin_basic },
       [ ccmin_alive ] );
     ( "ccmin-deep",
-      Config.with_ccmin Config.Ccmin_deep Config.berkmin,
+      { Config.berkmin with ccmin_mode = Ccmin_deep },
       [ ccmin_alive ] );
     ( "phase-saving",
-      Config.with_phase_saving true Config.berkmin,
+      { Config.berkmin with phase_saving = true },
       [ phase_alive ] );
-    ( "luby",
-      Config.with_restart_mode (Config.Luby 64) Config.berkmin,
-      [ luby_alive ] );
+    ("luby", { Config.berkmin with restart_mode = Luby 64 }, [ luby_alive ]);
     ( "glue-reduce",
-      Config.with_reduction_mode (Config.Glue_lbd 3) Config.berkmin,
+      { Config.berkmin with reduction_mode = Glue_lbd 3 },
       [ glue_alive ] );
     ("modern", Config.modern, [ ccmin_alive; phase_alive; luby_alive; glue_alive ]);
   ]
@@ -484,12 +482,12 @@ let run_parallel ~workers =
         let started = Unix.gettimeofday () in
         let seq = Runner.run_instance ~budget base inst in
         let seq_wall = Unix.gettimeofday () -. started in
-        let config = Config.with_workers workers base in
-        let par, race = Runner.run_instance_portfolio ~budget config inst in
+        let par, race =
+          Runner.run_instance_portfolio ~budget ~workers base inst
+        in
         let par_wall = race.Portfolio.wall_seconds in
-        let off_config = Config.with_share_learnt false config in
         let off, off_race =
-          Runner.run_instance_portfolio ~budget off_config inst
+          Runner.run_instance_portfolio ~budget ~workers ~share:false base inst
         in
         let off_wall = off_race.Portfolio.wall_seconds in
         let speedup = if par_wall > 0.0 then seq_wall /. par_wall else 0.0 in
@@ -1318,9 +1316,17 @@ let ec_incremental =
            \"ec_incremental\".")
 
 let timeout =
+  let non_negative =
+    Arg.conv
+      ( (fun s ->
+          match float_of_string_opt s with
+          | Some x when x >= 0.0 -> Ok x
+          | Some _ | None -> Error (`Msg "expected a non-negative number")),
+        Format.pp_print_float )
+  in
   Arg.(
     value
-    & opt (some float) None
+    & opt (some non_negative) None
     & info [ "timeout" ] ~docv:"SECONDS"
         ~doc:"Wall-clock budget of the --bigfile solve phase (default 60).")
 
@@ -1336,8 +1342,8 @@ let bigfile =
            file size and that streaming parse + bulk load beats the \
            legacy line-based parse + create by at least 2x, comparing \
            the fastest of five alternating fresh-process readings per \
-           lane, finishing with one --timeout-boxed solve on the \
-           loaded state.  The measurements land in the --json summary; \
+           lane, finishing with one solve on the loaded state, bounded \
+           by --timeout.  The measurements land in the --json summary; \
            exits non-zero if either ceiling is broken.")
 
 let cmd =

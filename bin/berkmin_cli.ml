@@ -9,65 +9,33 @@ open Berkmin_types
 module Drup = Berkmin_proof.Drup
 module Portfolio = Berkmin_portfolio.Portfolio
 
-let find_config name =
-  List.assoc_opt name Berkmin.Config.presets
-
-let result_to_string = function
-  | Berkmin.Solver.Sat _ -> "SAT"
-  | Berkmin.Solver.Unsat -> "UNSAT"
-  | Berkmin.Solver.Unknown -> "UNKNOWN"
-
-(* Race the portfolio instead of running one solver.  Shares the
-   sequential path's output conventions (c-lines, JSON shape, exit
-   codes); the JSON gains a "portfolio" object with the per-worker
-   records, and "stats" comes from the winning worker. *)
-let run_portfolio ~config ~budget ~file ~stats_flag ~check ~quiet ~json_out cnf =
-  let started = Unix.gettimeofday () in
-  let p = Portfolio.solve_config ~budget config cnf in
-  let seconds = Unix.gettimeofday () -. started in
-  if not quiet then begin
-    Format.printf "c portfolio of %d workers (%s)@."
-      config.Berkmin.Config.workers
-      (if config.Berkmin.Config.portfolio_diversify then "diversified"
-       else "seed-only");
-    List.iter
-      (fun w ->
-        Printf.printf "c worker %d: %-16s seed=%-6d %-12s %.3fs\n"
-          w.Portfolio.w_index
-          (Berkmin.Config.name_of w.Portfolio.w_config)
-          w.Portfolio.w_config.Berkmin.Config.seed
-          (Portfolio.status_to_string w.Portfolio.w_status)
-          w.Portfolio.w_wall_seconds)
-      p.Portfolio.workers
-  end;
-  let winner_stats =
-    Option.bind p.Portfolio.winner (fun i ->
-        Option.bind
-          (List.find_opt (fun w -> w.Portfolio.w_index = i) p.Portfolio.workers)
-          (fun w -> w.Portfolio.w_stats))
-  in
-  (match winner_stats with
+(* The summary both paths print once the search is over: the --stats
+   c-lines and the --json object.  [stats] is the run's counters (a
+   race has them only from its winner); [extra] adds fields after
+   "stats". *)
+let report ~file ~config ~quiet ~stats_flag ~json_out ?worker ?(extra = [])
+    ~seconds stats result =
+  (match stats with
   | Some st when stats_flag ->
     let text = Format.asprintf "%a" Berkmin.Stats.pp st in
     String.split_on_char '\n' text
     |> List.iter (fun line -> Printf.printf "c %s\n" line)
   | _ -> ());
-  (match json_out with
+  match json_out with
   | None -> ()
   | Some path ->
     let json =
       Json.Obj
-        [
-          "instance", Json.String file;
-          "strategy", Json.String (Berkmin.Config.name_of config);
-          "result", Json.String (result_to_string p.Portfolio.result);
-          ( "stats",
-            match winner_stats with
-            | Some st ->
-              Berkmin.Stats.to_json ?worker:p.Portfolio.winner ~seconds st
-            | None -> Json.Null );
-          "portfolio", Portfolio.outcome_to_json p;
-        ]
+        ([
+           "instance", Json.String file;
+           "strategy", Json.String (Berkmin.Config.name_of config);
+           "result", Json.String (Portfolio.result_to_string result);
+           ( "stats",
+             match stats with
+             | Some st -> Berkmin.Stats.to_json ?worker ~seconds st
+             | None -> Json.Null );
+         ]
+        @ extra)
     in
     let text = Json.to_string_pretty json ^ "\n" in
     if path = "-" then print_string text
@@ -76,8 +44,11 @@ let run_portfolio ~config ~budget ~file ~stats_flag ~check ~quiet ~json_out cnf 
       output_string oc text;
       close_out oc;
       if not quiet then Printf.printf "c json summary written to %s\n" path
-    end);
-  match p.Portfolio.result with
+    end
+
+(* The answer both paths end with: a --check of the model, the s-line
+   (and v-lines) and the exit code. *)
+let answer ~check cnf = function
   | Berkmin.Solver.Sat model ->
     if check && not (Cnf.satisfied_by cnf model) then begin
       print_endline "c INTERNAL ERROR: model does not satisfy the formula";
@@ -94,32 +65,55 @@ let run_portfolio ~config ~budget ~file ~stats_flag ~check ~quiet ~json_out cnf 
     print_endline "s UNKNOWN";
     0
 
+(* Race the portfolio instead of running one solver.  The JSON gains a
+   "portfolio" object with the per-worker records, and "stats" comes
+   from the winning worker. *)
+let run_portfolio ~race ~workers ~diversify ~config ~file ~stats_flag ~check
+    ~quiet ~json_out cnf =
+  let started = Unix.gettimeofday () in
+  let p = race cnf in
+  let seconds = Unix.gettimeofday () -. started in
+  if not quiet then begin
+    Format.printf "c portfolio of %d workers (%s)@." workers
+      (if diversify then "diversified" else "seed-only");
+    List.iter
+      (fun w ->
+        Printf.printf "c worker %d: %-16s seed=%-6d %-12s %.3fs\n"
+          w.Portfolio.w_index
+          (Berkmin.Config.name_of w.Portfolio.w_config)
+          w.Portfolio.w_config.Berkmin.Config.seed
+          (Portfolio.status_to_string w.Portfolio.w_status)
+          w.Portfolio.w_wall_seconds)
+      p.Portfolio.workers
+  end;
+  let winner_stats =
+    Option.bind p.Portfolio.winner (fun i ->
+        Option.bind
+          (List.find_opt (fun w -> w.Portfolio.w_index = i) p.Portfolio.workers)
+          (fun w -> w.Portfolio.w_stats))
+  in
+  report ~file ~config ~quiet ~stats_flag ~json_out ?worker:p.Portfolio.winner
+    ~extra:[ "portfolio", Portfolio.outcome_to_json p ]
+    ~seconds winner_stats p.Portfolio.result;
+  answer ~check cnf p.Portfolio.result
+
 let run file strategy max_conflicts max_seconds proof_file stats_flag check
     seed quiet json_out trace_file heartbeat profile workers diversify
     worker_timeout share share_max_len share_max_glue simplify simplify_growth
     ccmin phase_saving restarts reduce =
-  match find_config strategy with
-  | None ->
-    Printf.eprintf "unknown strategy %S; available: %s\n" strategy
-      (String.concat ", " (List.map fst Berkmin.Config.presets));
+  match Berkmin.Config.preset strategy with
+  | Error msg ->
+    prerr_endline msg;
     2
-  | Some config -> (
+  | Ok config -> (
     let config =
-      match seed with
-      | Some s -> Berkmin.Config.with_seed s config
-      | None -> config
-    in
-    let config =
-      match trace_file with
-      | Some path -> Berkmin.Config.with_trace_jsonl path config
-      | None -> config
-    in
-    let config =
-      if heartbeat > 0 then Berkmin.Config.with_heartbeat heartbeat config
-      else config
-    in
-    let config =
-      if profile then Berkmin.Config.with_profile_timers config else config
+      {
+        config with
+        seed = Option.value seed ~default:config.seed;
+        trace_jsonl = trace_file;
+        heartbeat_interval = heartbeat;
+        profile_timers = profile;
+      }
     in
     if workers < 1 then begin
       Printf.eprintf "--workers must be at least 1 (got %d)\n" workers;
@@ -135,16 +129,6 @@ let run file strategy max_conflicts max_seconds proof_file stats_flag check
       Printf.eprintf "--share-max-len and --share-max-glue must be >= 1\n";
       exit 2
     end;
-    let config = Berkmin.Config.with_workers workers config in
-    let config = Berkmin.Config.with_portfolio_diversify diversify config in
-    let config = Berkmin.Config.with_share_learnt share config in
-    let config = Berkmin.Config.with_share_max_len share_max_len config in
-    let config = Berkmin.Config.with_share_max_glue share_max_glue config in
-    let config =
-      match worker_timeout with
-      | Some s -> Berkmin.Config.with_worker_wall_timeout s config
-      | None -> config
-    in
     let config =
       match
         Berkmin.Config.with_overrides ~simplify ~simplify_growth ?ccmin
@@ -155,6 +139,7 @@ let run file strategy max_conflicts max_seconds proof_file stats_flag check
         prerr_endline msg;
         exit 2
     in
+    let budget = { Berkmin.Solver.max_conflicts; max_seconds } in
     match Berkmin_dimacs.Dimacs.parse_file file with
     | exception Sys_error msg ->
       Printf.eprintf "cannot read %s: %s\n" file msg;
@@ -163,11 +148,16 @@ let run file strategy max_conflicts max_seconds proof_file stats_flag check
       Printf.eprintf "%s:%d: %s\n" file line message;
       2
     | cnf when workers > 1 -> (
-      let budget = { Berkmin.Solver.max_conflicts; max_seconds } in
       if not quiet then
         Format.printf "c strategy %a@." Berkmin.Config.pp config;
-      try run_portfolio ~config ~budget ~file ~stats_flag ~check ~quiet
-            ~json_out cnf
+      let race =
+        Portfolio.solve_config ~budget ~workers ~diversify
+          ?wall_timeout:worker_timeout ~share ~share_max_len ~share_max_glue
+          config
+      in
+      try
+        run_portfolio ~race ~workers ~diversify ~config ~file ~stats_flag
+          ~check ~quiet ~json_out cnf
       with Sys_error msg ->
         Printf.eprintf "berkmin: %s\n" msg;
         2)
@@ -182,44 +172,15 @@ let run file strategy max_conflicts max_seconds proof_file stats_flag check
           Berkmin.Solver.set_proof_logger solver (Drup.record p);
           Some (path, p)
       in
-      let budget =
-        { Berkmin.Solver.max_conflicts; max_seconds }
-      in
       let started = Sys.time () in
       let result = Berkmin.Solver.solve ~budget solver in
       let seconds = Sys.time () -. started in
       Berkmin.Solver.close_trace solver;
       if not quiet then
         Format.printf "c strategy %a@." Berkmin.Config.pp config;
-      if stats_flag then begin
-        let text =
-          Format.asprintf "%a" Berkmin.Stats.pp (Berkmin.Solver.stats solver)
-        in
-        String.split_on_char '\n' text
-        |> List.iter (fun line -> Printf.printf "c %s\n" line)
-      end;
-      (match json_out with
-      | None -> ()
-      | Some path ->
-        let json =
-          Json.Obj
-            [
-              "instance", Json.String file;
-              "strategy", Json.String (Berkmin.Config.name_of config);
-              "result", Json.String (result_to_string result);
-              ( "stats",
-                Berkmin.Stats.to_json ~seconds (Berkmin.Solver.stats solver)
-              );
-            ]
-        in
-        let text = Json.to_string_pretty json ^ "\n" in
-        if path = "-" then print_string text
-        else begin
-          let oc = open_out path in
-          output_string oc text;
-          close_out oc;
-          if not quiet then Printf.printf "c json summary written to %s\n" path
-        end);
+      report ~file ~config ~quiet ~stats_flag ~json_out ~seconds
+        (Some (Berkmin.Solver.stats solver))
+        result;
       (match result, proof with
       | Berkmin.Solver.Unsat, Some (path, p) ->
         Drup.write_file path p;
@@ -233,23 +194,7 @@ let run file strategy max_conflicts max_seconds proof_file stats_flag check
             exit 1
         end
       | (Berkmin.Solver.Sat _ | Berkmin.Solver.Unknown), Some _ | _, None -> ());
-      (match result with
-      | Berkmin.Solver.Sat model ->
-        if check && not (Cnf.satisfied_by cnf model) then begin
-          print_endline "c INTERNAL ERROR: model does not satisfy the formula";
-          exit 1
-        end;
-        Format.printf "%a@."
-          (fun fmt () ->
-            Berkmin_dimacs.Dimacs.print_solution fmt (Some model))
-          ();
-        10
-      | Berkmin.Solver.Unsat ->
-        print_endline "s UNSATISFIABLE";
-        20
-      | Berkmin.Solver.Unknown ->
-        print_endline "s UNKNOWN";
-        0)
+      answer ~check cnf result
     with Sys_error msg ->
       (* unwritable --trace / --json / --proof destinations *)
       Printf.eprintf "berkmin: %s\n" msg;
@@ -285,10 +230,19 @@ let max_conflicts =
     & opt (some non_negative) None
     & info [ "max-conflicts" ] ~docv:"N" ~doc:"Abort after N conflicts.")
 
+(* Seconds for a budget or a timeout: [x >= 0.] is false for NaN too. *)
+let non_negative_float =
+  Arg.conv
+    ( (fun s ->
+        match float_of_string_opt s with
+        | Some x when x >= 0.0 -> Ok x
+        | Some _ | None -> Error (`Msg "expected a non-negative number")),
+      Format.pp_print_float )
+
 let max_seconds =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some non_negative_float) None
     & info [ "max-seconds" ] ~docv:"S" ~doc:"Abort after S CPU seconds.")
 
 let proof_file =
@@ -373,7 +327,7 @@ let diversify =
 let worker_timeout =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some non_negative_float) None
     & info [ "worker-timeout" ] ~docv:"S"
         ~doc:
           "Kill any portfolio worker still running after $(docv) wall \

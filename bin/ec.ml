@@ -88,15 +88,11 @@ let run_oneshot ?config ~budget miter file_a a file_b b =
     2
 
 let run file_a file_b strategy max_conflicts max_seconds incremental verbose =
-  match List.assoc_opt strategy Berkmin.Config.presets with
-  | None ->
-    Printf.eprintf
-      "berkmin-ec: unknown strategy %S; available: %s\n\
-       try 'berkmin-ec --help' for usage\n"
-      strategy
-      (String.concat ", " (List.map fst Berkmin.Config.presets));
+  match Berkmin.Config.preset strategy with
+  | Error msg ->
+    Printf.eprintf "berkmin-ec: %s\ntry 'berkmin-ec --help' for usage\n" msg;
     2
-  | Some config -> (
+  | Ok config -> (
     let config = Some config in
     match load file_a, load file_b with
     | Error e, _ | _, Error e ->
@@ -145,8 +141,16 @@ let max_conflicts =
         ~doc:"Abort after N conflicts (per probe with --incremental).")
 
 let max_seconds =
+  let non_negative =
+    Arg.conv
+      ( (fun s ->
+          match float_of_string_opt s with
+          | Some x when x >= 0.0 -> Ok x
+          | Some _ | None -> Error (`Msg "expected a non-negative number")),
+        Format.pp_print_float )
+  in
   Arg.(
-    value & opt (some float) None
+    value & opt (some non_negative) None
     & info [ "max-seconds" ] ~docv:"S"
         ~doc:"Abort after S CPU seconds (per probe with --incremental).")
 

@@ -15,14 +15,11 @@ module Trace = Berkmin.Trace
 
 let run socket stdio trace_file strategy max_sessions simplify ccmin
     phase_saving restarts reduce =
-  match List.assoc_opt strategy Berkmin.Config.presets with
-  | None ->
-    Printf.eprintf
-      "berkmin-serverd: unknown strategy %S; available: %s\n"
-      strategy
-      (String.concat ", " (List.map fst Berkmin.Config.presets));
+  match Berkmin.Config.preset strategy with
+  | Error msg ->
+    Printf.eprintf "berkmin-serverd: %s\n" msg;
     2
-  | Some config -> (
+  | Ok config -> (
     let config =
       match
         Berkmin.Config.with_overrides ~simplify ?ccmin ?phase_saving ?restarts

@@ -18,8 +18,6 @@ type polarity_mode =
 type global_polarity_mode =
   | Nb_two
   | Gp_take_zero
-  | Gp_take_one
-  | Gp_random
 
 type reduction_mode =
   | Berkmin_age_activity
@@ -51,15 +49,11 @@ type t = {
   restart_mode : restart_mode;
   var_decay_interval : int;
   var_decay_factor : float;
-  vsids_decay_interval : int;
-  vsids_decay_factor : float;
   young_fraction : float;
   young_keep_length : int;
-  young_keep_activity : int;
   old_keep_length : int;
   old_activity_threshold : int;
   old_threshold_increment : int;
-  nb_two_threshold : int;
   top_window : int;
   debug_top_cursor : bool;
   ccmin_mode : ccmin_mode;
@@ -68,21 +62,16 @@ type t = {
   trace_jsonl : string option;
   heartbeat_interval : int;
   profile_timers : bool;
-  workers : int;
-  portfolio_diversify : bool;
-  worker_wall_timeout : float option;
-  share_learnt : bool;
-  share_max_len : int;
-  share_max_glue : int;
   simplify : simplify_mode;
   simplify_growth : int;
 }
 
 (* Constants follow Section 8 of the paper: young clauses are kept when
-   shorter than 43 literals or with activity above 7; old clauses when
-   shorter than 9 literals or above a threshold starting at 60.  The
-   restart interval of 550 conflicts and the activity decay (divide by 4
-   every 64 conflicts) match the released BerkMin56 binary. *)
+   shorter than 43 literals (or with activity above 7, fixed in
+   [Solver]); old clauses when shorter than 9 literals or above a
+   threshold starting at 60.  The restart interval of 550 conflicts and
+   the activity decay (divide by 4 every 64 conflicts) match the
+   released BerkMin56 binary. *)
 let berkmin = {
   activity_mode = Responsible_clauses;
   decision_mode = Top_clause;
@@ -92,15 +81,11 @@ let berkmin = {
   restart_mode = Fixed 550;
   var_decay_interval = 64;
   var_decay_factor = 4.0;
-  vsids_decay_interval = 100;
-  vsids_decay_factor = 2.0;
   young_fraction = 1.0 /. 16.0;
   young_keep_length = 43;
-  young_keep_activity = 7;
   old_keep_length = 9;
   old_activity_threshold = 60;
   old_threshold_increment = 1;
-  nb_two_threshold = 100;
   top_window = 1;
   debug_top_cursor = false;
   ccmin_mode = Ccmin_off;
@@ -109,12 +94,6 @@ let berkmin = {
   trace_jsonl = None;
   heartbeat_interval = 0;
   profile_timers = false;
-  workers = 1;
-  portfolio_diversify = true;
-  worker_wall_timeout = None;
-  share_learnt = true;
-  share_max_len = 8;
-  share_max_glue = 4;
   simplify = Simp_off;
   simplify_growth = 0;
 }
@@ -166,38 +145,9 @@ let modern = {
   reduction_mode = Glue_lbd 3;
 }
 
-let with_seed seed t = { t with seed }
-let with_trace_jsonl path t = { t with trace_jsonl = Some path }
-let with_heartbeat interval t = { t with heartbeat_interval = interval }
-let with_profile_timers t = { t with profile_timers = true }
-
-let with_workers n t =
-  if n < 1 then invalid_arg "Config.with_workers: need at least one worker";
-  { t with workers = n }
-
-let with_debug_top_cursor t = { t with debug_top_cursor = true }
-let with_portfolio_diversify portfolio_diversify t = { t with portfolio_diversify }
-let with_worker_wall_timeout s t = { t with worker_wall_timeout = Some s }
-let with_share_learnt share_learnt t = { t with share_learnt }
-
-let with_share_max_len n t =
-  if n < 1 then invalid_arg "Config.with_share_max_len: need at least 1";
-  { t with share_max_len = n }
-
-let with_share_max_glue n t =
-  if n < 1 then invalid_arg "Config.with_share_max_glue: need at least 1";
-  { t with share_max_glue = n }
-
-let with_simplify simplify t = { t with simplify }
-
 let with_simplify_growth n t =
   if n < 0 then invalid_arg "Config.with_simplify_growth: need >= 0";
   { t with simplify_growth = n }
-
-let with_ccmin ccmin_mode t = { t with ccmin_mode }
-let with_phase_saving phase_saving t = { t with phase_saving }
-let with_restart_mode restart_mode t = { t with restart_mode }
-let with_reduction_mode reduction_mode t = { t with reduction_mode }
 
 let simplify_mode_to_string = function
   | Simp_off -> "off"
@@ -277,17 +227,15 @@ let reduction_mode_of_string s =
 let with_overrides ?simplify ?simplify_growth ?ccmin ?phase_saving ?restarts
     ?reduce t =
   let ( let* ) = Result.bind in
-  let mode flag wants of_string set value t =
-    match value with
-    | None -> Ok t
+  let mode flag wants of_string = function
+    | None -> Ok None
     | Some s -> (
       match of_string s with
-      | Some m -> Ok (set m t)
+      | Some m -> Ok (Some m)
       | None -> Error (Printf.sprintf "--%s wants %s (got %S)" flag wants s))
   in
-  let* t =
-    mode "simplify" "off, pre or inprocess" simplify_mode_of_string
-      with_simplify simplify t
+  let* simplify =
+    mode "simplify" "off, pre or inprocess" simplify_mode_of_string simplify
   in
   let* t =
     match simplify_growth with
@@ -296,14 +244,24 @@ let with_overrides ?simplify ?simplify_growth ?ccmin ?phase_saving ?restarts
     | Some n -> Ok (with_simplify_growth n t)
     | None -> Ok t
   in
-  let* t = mode "ccmin" "off, basic or deep" ccmin_mode_of_string with_ccmin ccmin t in
-  let t = Option.fold ~none:t ~some:(fun b -> with_phase_saving b t) phase_saving in
-  let* t =
-    mode "restarts" "fixed:N, luby:N or none" restart_mode_of_string
-      with_restart_mode restarts t
+  let* ccmin = mode "ccmin" "off, basic or deep" ccmin_mode_of_string ccmin in
+  let* restarts =
+    mode "restarts" "fixed:N, luby:N or none" restart_mode_of_string restarts
   in
-  mode "reduce" "berkmin, length:N, glue:N or keep-all"
-    reduction_mode_of_string with_reduction_mode reduce t
+  let* reduce =
+    mode "reduce" "berkmin, length:N, glue:N or keep-all"
+      reduction_mode_of_string reduce
+  in
+  let value o default = Option.value o ~default in
+  Ok
+    {
+      t with
+      simplify = value simplify t.simplify;
+      ccmin_mode = value ccmin t.ccmin_mode;
+      phase_saving = value phase_saving t.phase_saving;
+      restart_mode = value restarts t.restart_mode;
+      reduction_mode = value reduce t.reduction_mode;
+    }
 
 let presets = [
   "berkmin", berkmin;
@@ -320,9 +278,15 @@ let presets = [
   "modern", modern;
 ]
 
-(* Observability and portfolio settings don't change the search a
-   single solver performs, so a preset with a trace attached or a
-   worker count still reports its preset name. *)
+let preset name =
+  Option.to_result (List.assoc_opt name presets)
+    ~none:
+      (Printf.sprintf "unknown strategy %S; available: %s" name
+         (String.concat ", " (List.map fst presets)))
+
+(* Observability settings and the simplifier don't change the
+   heuristics a search runs, so a preset with a trace attached or
+   simplification on still reports its preset name. *)
 let name_of t =
   match
     List.find_opt
@@ -333,12 +297,6 @@ let name_of t =
           heartbeat_interval = t.heartbeat_interval;
           profile_timers = t.profile_timers;
           debug_top_cursor = t.debug_top_cursor;
-          workers = t.workers;
-          portfolio_diversify = t.portfolio_diversify;
-          worker_wall_timeout = t.worker_wall_timeout;
-          share_learnt = t.share_learnt;
-          share_max_len = t.share_max_len;
-          share_max_glue = t.share_max_glue;
           simplify = t.simplify;
           simplify_growth = t.simplify_growth;
         }

@@ -1,9 +1,12 @@
-(** Solver configuration.
+(** Solver configuration: the settings of one search.
 
     Every heuristic the paper ablates is a field here, so each of the
     paper's comparison columns (Tables 1, 2, 4, 5) is a preset of the
     same engine differing in exactly one component — mirroring the
-    paper's methodology. *)
+    paper's methodology.  Constants that nothing varies are fixed in
+    {!Solver}, and portfolio settings belong to [Portfolio].  A variation
+    is a record update over a preset, e.g.
+    [{ Config.berkmin with ccmin_mode = Ccmin_deep }]. *)
 
 (** How variable activities are updated at each conflict (Section 4). *)
 type activity_mode =
@@ -48,9 +51,7 @@ type global_polarity_mode =
   | Nb_two
       (** BerkMin: the literal with the larger binary-clause
           neighbourhood [nb_two] is set to 0 (Section 7). *)
-  | Gp_take_zero
-  | Gp_take_one
-  | Gp_random
+  | Gp_take_zero  (** Chaff baseline: always assign 0 first. *)
 
 (** Learnt-clause database reduction at restarts (Section 8). *)
 type reduction_mode =
@@ -107,17 +108,13 @@ type t = {
   restart_mode : restart_mode;
   var_decay_interval : int;  (** conflicts between var-activity decays *)
   var_decay_factor : float;  (** divide activities by this factor *)
-  vsids_decay_interval : int;  (** for the Chaff baseline's literal scores *)
-  vsids_decay_factor : float;
   young_fraction : float;
       (** a learnt clause is "young" when its distance from the stack
           top is below this fraction of the stack size (paper: 1/16) *)
   young_keep_length : int;  (** keep young clauses shorter than this (43) *)
-  young_keep_activity : int;  (** or with activity above this (7) *)
   old_keep_length : int;  (** keep old clauses shorter than this (9) *)
   old_activity_threshold : int;  (** initial old-clause activity bar (60) *)
   old_threshold_increment : int;  (** growth per reduction *)
-  nb_two_threshold : int;  (** cap on nb_two computation (100) *)
   top_window : int;
       (** how many top unsatisfied learnt clauses the decision
           procedure considers (1 in the paper; Remark 2 proposes
@@ -148,34 +145,6 @@ type t = {
       (** accumulate CPU time spent in BCP, conflict analysis and
           database reduction into {!Stats.t} (off by default: the
           [Sys.time] sampling is cheap but not free) *)
-  workers : int;
-      (** how many portfolio workers a portfolio-aware driver (the
-          CLI, [Runner], [Portfolio.solve_config]) should race on this
-          formula; 1 — the default — means plain sequential solving.
-          {!Solver} itself ignores this field: one solver object is
-          always one search. *)
-  portfolio_diversify : bool;
-      (** when racing [workers > 1]: diversify the portfolio across
-          restart policies, decision sensitivity and clause-DB
-          aggressiveness (default), or — when [false] — run identical
-          copies of this configuration differing only in RNG seed *)
-  worker_wall_timeout : float option;
-      (** kill any portfolio worker still running after this many wall
-          seconds; [None] (default) leaves workers bounded only by the
-          solve budget *)
-  share_learnt : bool;
-      (** when racing [workers > 1]: exchange learnt clauses between
-          workers (export through the glue/length filter below, import
-          at restart boundaries).  Default [true].  Irrelevant to a
-          sequential solve — {!Solver} itself never shares; the
-          portfolio driver wires the exchange. *)
-  share_max_len : int;
-      (** learnt clauses longer than this are never exported to other
-          portfolio workers (default 8) *)
-  share_max_glue : int;
-      (** learnt clauses whose glue — the number of distinct decision
-          levels among their literals at learn time (LBD) — exceeds
-          this are never exported (default 4) *)
   simplify : simplify_mode;
       (** when the clause-database simplifier runs ([Simp_off] by
           default) *)
@@ -219,62 +188,9 @@ val modern : t
     phase saving, Luby restarts (unit 64) and glue(LBD)-driven database
     reduction (glue <= 3 kept).  See docs/STRATEGIES.md. *)
 
-val with_seed : int -> t -> t
-
-val with_trace_jsonl : string -> t -> t
-(** Arrange for solvers created with this configuration to write a
-    JSONL event trace to the given path. *)
-
-val with_heartbeat : int -> t -> t
-(** Set the heartbeat interval (conflicts between heartbeat events). *)
-
-val with_profile_timers : t -> t
-(** Enable the BCP/analysis/reduction phase timers. *)
-
-val with_debug_top_cursor : t -> t
-(** Enable the top-clause cursor cross-check (see
-    {!t.debug_top_cursor}). *)
-
-val with_workers : int -> t -> t
-(** Set the portfolio worker count.
-    @raise Invalid_argument when the count is below 1. *)
-
-val with_portfolio_diversify : bool -> t -> t
-(** Choose between a diversified portfolio and seed-only variation. *)
-
-val with_worker_wall_timeout : float -> t -> t
-(** Set the per-worker wall-clock timeout (seconds). *)
-
-val with_share_learnt : bool -> t -> t
-(** Enable or disable learnt-clause exchange between portfolio
-    workers. *)
-
-val with_share_max_len : int -> t -> t
-(** Set the export length cap for shared learnt clauses.
-    @raise Invalid_argument when below 1. *)
-
-val with_share_max_glue : int -> t -> t
-(** Set the export glue (LBD) cap for shared learnt clauses.
-    @raise Invalid_argument when below 1. *)
-
-val with_simplify : simplify_mode -> t -> t
-(** Choose when the clause-database simplifier runs. *)
-
 val with_simplify_growth : int -> t -> t
 (** Set the variable-elimination growth cap.
     @raise Invalid_argument when negative. *)
-
-val with_ccmin : ccmin_mode -> t -> t
-(** Choose the conflict-clause minimization mode. *)
-
-val with_phase_saving : bool -> t -> t
-(** Enable or disable phase saving. *)
-
-val with_restart_mode : restart_mode -> t -> t
-(** Choose the restart strategy. *)
-
-val with_reduction_mode : reduction_mode -> t -> t
-(** Choose the learnt-clause database reduction strategy. *)
 
 val simplify_mode_to_string : simplify_mode -> string
 (** ["off"], ["pre"] or ["inprocess"] — the CLI flag vocabulary. *)
@@ -319,13 +235,18 @@ val with_overrides :
     print under its own program prefix. *)
 
 val name_of : t -> string
-(** Best-effort human name: matches a preset or describes the fields.
-    Observability, portfolio and simplifier fields (trace, heartbeat,
-    timers, cursor debug, workers, simplify) are ignored by the match —
-    they are orthogonal toggles layered on a preset, and a
-    simplify-enabled preset should still report its preset name. *)
+(** The name of the preset [t] matches, else ["custom"].  The match
+    ignores the observability and simplifier fields ([seed],
+    [trace_jsonl], [heartbeat_interval], [profile_timers],
+    [debug_top_cursor], [simplify], [simplify_growth]): they are
+    orthogonal toggles layered on a preset. *)
 
 val presets : (string * t) list
 (** All named presets, for CLIs and the bench harness. *)
+
+val preset : string -> (t, string) result
+(** The preset of this name, or [Error msg] listing the available
+    names (["unknown strategy \"x\"; available: berkmin, ..."]) for
+    the caller to print under its own program prefix. *)
 
 val pp : Format.formatter -> t -> unit

@@ -128,7 +128,6 @@ type t = {
 }
 
 let stats s = s.stats
-let config s = s.cfg
 let trace s = s.tracer
 let set_trace_sink s sink = Trace.set_sink s.tracer sink
 let close_trace s = Trace.close s.tracer
@@ -502,6 +501,12 @@ let bump_vsids s l =
       s.vsids.(m) <- s.vsids.(m) *. 1e-100
     done
 
+(* Chaff's VSIDS (Moskewicz et al., DAC 2001) periodically divides
+   every literal score by a constant, so recent conflicts dominate; the
+   Chaff baseline halves its scores every 100 conflicts. *)
+let vsids_decay_interval = 100
+let vsids_decay_factor = 2.0
+
 let maybe_decay s =
   let c = s.stats.conflicts in
   if s.cfg.var_decay_interval > 0 && c - s.last_var_decay >= s.cfg.var_decay_interval
@@ -512,11 +517,9 @@ let maybe_decay s =
       s.var_act.(v) <- s.var_act.(v) *. f
     done
   end;
-  if s.cfg.vsids_decay_interval > 0
-     && c - s.last_vsids_decay >= s.cfg.vsids_decay_interval
-  then begin
+  if c - s.last_vsids_decay >= vsids_decay_interval then begin
     s.last_vsids_decay <- c;
-    let f = 1.0 /. s.cfg.vsids_decay_factor in
+    let f = 1.0 /. vsids_decay_factor in
     for l = 0 to (2 * s.nvars) - 1 do
       s.vsids.(l) <- s.vsids.(l) *. f
     done
@@ -764,6 +767,10 @@ let satisfied_at_level0 s c =
   Arena.exists_lit s.arena c (fun l ->
       s.level.(Lit.var l) = 0 && lit_value s l = Value.True)
 
+(* Section 8: a young clause that is not short survives a reduction
+   only while its activity exceeds 7. *)
+let young_keep_activity = 7
+
 (* Decide which live learnt clauses survive a reduction.  Called at
    decision level 0 only. *)
 let reduction_keeps s =
@@ -818,7 +825,7 @@ let reduction_keeps s =
           let act = Arena.activity ar c in
           keep.(i) <-
             (if young then
-               len < s.cfg.young_keep_length || act > s.cfg.young_keep_activity
+               len < s.cfg.young_keep_length || act > young_keep_activity
              else len < s.cfg.old_keep_length || act > s.old_threshold)
         end)
       s.learnt);
@@ -1188,10 +1195,11 @@ let best_vsids_literal s =
    stored 2-clause counts when both its literals are free under the
    current partial assignment (both free = unsatisfied), read straight
    off the static {!Binary} index: the entries under [¬l] are exactly
-   the stored 2-clauses containing [l].  Computation stops at the
-   configured threshold.  Learnt 2-clauses in the index are harmless
-   here — the heuristic runs only when every learnt clause is
-   satisfied, and a satisfied clause fails the both-free test. *)
+   the stored 2-clauses containing [l].  Computation stops once the
+   count exceeds [nb_two_threshold].  Learnt 2-clauses in the index
+   are harmless here — the heuristic runs only when every learnt
+   clause is satisfied, and a satisfied clause fails the both-free
+   test. *)
 
 (* Currently-binary degree of [l], memoized per assignment epoch: the
    second-hop counts of [nb_two] revisit the same neighbour literals
@@ -1218,14 +1226,16 @@ let bin_degree s l =
     !count
   end
 
+(* Section 7: the paper stops computing nb_two at a threshold of 100. *)
+let nb_two_threshold = 100
+
 let nb_two s l =
-  let threshold = s.cfg.nb_two_threshold in
   let total = ref 0 in
   if lit_value s l = Value.Unassigned then begin
     let bs = Binary.implications s.binary (Lit.negate l) in
     let n = Ivec.length bs in
     let i = ref 0 in
-    while !total <= threshold && !i < n do
+    while !total <= nb_two_threshold && !i < n do
       let u = Ivec.get bs !i in
       if lit_value s u = Value.Unassigned then
         total := !total + 1 + bin_degree s (Lit.negate u);
@@ -1261,8 +1271,6 @@ let global_value s v =
     else if Rng.bool s.rng then true
     else false
   | Config.Gp_take_zero -> false
-  | Config.Gp_take_one -> true
-  | Config.Gp_random -> Rng.bool s.rng
 
 (* Pick the free variable of [c] with the highest var_activity, together
    with its literal in [c] (needed by the Sat_top/Unsat_top ablations). *)
@@ -1867,9 +1875,14 @@ let check_assumption s l =
    caches only a formula-level UNSAT: a conditional answer says nothing
    about the next call's assumptions. *)
 let solve ?(budget = no_budget) ?(assumps = []) s =
-  (match budget.max_conflicts with
-  | Some n when n < 0 -> invalid_arg "Solver.solve: negative budget"
-  | Some _ | None -> ());
+  (match budget with
+  | { max_conflicts = Some n; _ } when n < 0 ->
+    invalid_arg "Solver.solve: negative budget"
+  | { max_seconds = Some secs; _ } when not (secs >= 0.0) ->
+    (* [not (>=)] also catches NaN, which would otherwise compare false
+       against every elapsed time and never run out *)
+    invalid_arg "Solver.solve: negative budget"
+  | _ -> ());
   s.last_core <- None;
   let result =
     match s.verdict with
@@ -2108,11 +2121,6 @@ let num_eliminated_vars s =
 let check_model cnf m = Cnf.satisfied_by cnf m
 
 let solve_cnf ?config ?budget cnf = solve ?budget (create ?config cnf)
-
-let pp_result fmt = function
-  | Sat _ -> Format.pp_print_string fmt "SATISFIABLE"
-  | Unsat -> Format.pp_print_string fmt "UNSATISFIABLE"
-  | Unknown -> Format.pp_print_string fmt "UNKNOWN"
 
 (* ------------------------------------------------------------------ *)
 (* Metrics view: pull-based gauges over the live solver, so sampling

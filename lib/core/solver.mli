@@ -83,10 +83,10 @@ val solve : ?budget:budget -> ?assumps:Lit.t list -> t -> result
     root afterwards, so it can be reused with different assumptions;
     learnt clauses, activities and polarity counters are all retained
     across calls.
-    @raise Invalid_argument on a negative [max_conflicts], or an
-    assumption over a variable not yet allocated or eliminated by
-    {!simplify} (a formula already known UNSAT answers [Unsat]
-    without checking its assumptions). *)
+    @raise Invalid_argument on a negative [max_conflicts], a negative
+    or NaN [max_seconds], or an assumption over a variable not yet
+    allocated or eliminated by {!simplify} (a formula already known
+    UNSAT answers [Unsat] without checking its assumptions). *)
 
 (** {2 Incremental interface}
 
@@ -127,8 +127,6 @@ val unsat_core : t -> Lit.t list option
     [solve]). *)
 
 val stats : t -> Stats.t
-
-val config : t -> Config.t
 
 val trace : t -> Trace.t
 (** The solver's trace stream.  Created with the [Null] sink unless
@@ -283,5 +281,3 @@ val check_model : Cnf.t -> bool array -> bool
 
 val solve_cnf : ?config:Config.t -> ?budget:budget -> Cnf.t -> result
 (** One-shot convenience wrapper. *)
-
-val pp_result : Format.formatter -> result -> unit

@@ -36,7 +36,7 @@ let cdcl ?(config = Berkmin.Config.berkmin)
 let simplify_cdcl ?(mode = Berkmin.Config.Simp_pre)
     ?(config = Berkmin.Config.berkmin)
     ?(budget = Berkmin_harness.Runner.fuzz_budget) () =
-  let config = Berkmin.Config.with_simplify mode config in
+  let config = { config with Berkmin.Config.simplify = mode } in
   let base = cdcl ~config ~budget () in
   {
     base with
@@ -55,18 +55,13 @@ let simplify_cdcl ?(mode = Berkmin.Config.Simp_pre)
 let portfolio ?(config = Berkmin.Config.berkmin) ?(workers = 2)
     ?(share = true) ?(budget = Berkmin_harness.Runner.fuzz_budget) () =
   let module Portfolio = Berkmin_portfolio.Portfolio in
-  let config =
-    config
-    |> Berkmin.Config.with_workers workers
-    |> Berkmin.Config.with_share_learnt share
-  in
   {
     name =
       Printf.sprintf "portfolio%d:%s" workers
         (if share then "share" else "noshare");
     solve =
       (fun cnf ->
-        let p = Portfolio.solve_config ~budget config cnf in
+        let p = Portfolio.solve_config ~budget ~workers ~share config cnf in
         match p.Portfolio.result with
         | Berkmin.Solver.Sat m -> A_sat m
         | Berkmin.Solver.Unsat -> A_unsat None
@@ -90,16 +85,16 @@ let strategy_cdcl ?(config = Berkmin.Config.berkmin)
 let strategy_solvers ?config ?budget () =
   [
     strategy_cdcl ?config ?budget ~name:"ccmin-deep"
-      (Berkmin.Config.with_ccmin Berkmin.Config.Ccmin_deep)
+      (fun base -> { base with Berkmin.Config.ccmin_mode = Ccmin_deep })
       ();
     strategy_cdcl ?config ?budget ~name:"phase-saving"
-      (Berkmin.Config.with_phase_saving true)
+      (fun base -> { base with Berkmin.Config.phase_saving = true })
       ();
     strategy_cdcl ?config ?budget ~name:"luby"
-      (Berkmin.Config.with_restart_mode (Berkmin.Config.Luby 64))
+      (fun base -> { base with Berkmin.Config.restart_mode = Luby 64 })
       ();
     strategy_cdcl ?config ?budget ~name:"glue-reduce"
-      (Berkmin.Config.with_reduction_mode (Berkmin.Config.Glue_lbd 3))
+      (fun base -> { base with Berkmin.Config.reduction_mode = Glue_lbd 3 })
       ();
     strategy_cdcl ?config ?budget ~name:"modern"
       (fun base ->

@@ -127,9 +127,10 @@ let run_instance_streamed ?(budget = default_budget) config inst =
 
 module Portfolio = Berkmin_portfolio.Portfolio
 
-let run_instance_portfolio ?(budget = default_budget) config inst =
+let run_instance_portfolio ?(budget = default_budget) ~workers ?share config
+    inst =
   let cnf = inst.Instance.cnf in
-  let p = Portfolio.solve_config ~budget config cnf in
+  let p = Portfolio.solve_config ~budget ~workers ?share config cnf in
   let winner_stats =
     let find i =
       List.find_opt (fun w -> w.Portfolio.w_index = i) p.Portfolio.workers

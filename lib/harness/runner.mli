@@ -49,15 +49,18 @@ val run_instance_streamed :
 
 val run_instance_portfolio :
   ?budget:Berkmin.Solver.budget ->
+  workers:int ->
+  ?share:bool ->
   Berkmin.Config.t ->
   Instance.t ->
   outcome * Berkmin_portfolio.Portfolio.outcome
-(** Runs one instance as a process-parallel portfolio race built from
-    the configuration's {!Berkmin.Config.t.workers} knobs, returning
-    both the usual flattened outcome (counters come from the winning
-    worker; [seconds] is the race's {e wall} clock, not CPU time) and
-    the full per-worker race record.  With [workers = 1] this is
-    {!run_instance} modulo the wall/CPU clock difference. *)
+(** Runs one instance as a race of [workers] diversified configurations
+    built from [config] ({!Berkmin_portfolio.Portfolio.solve_config},
+    learnt-clause sharing per [share], default on), returning both the
+    usual flattened outcome (counters come from the winning worker;
+    [seconds] is the race's {e wall} clock, not CPU time) and the full
+    per-worker race record.  With [workers = 1] this is {!run_instance}
+    modulo the wall/CPU clock difference. *)
 
 type class_result = {
   class_name : string;

@@ -118,15 +118,15 @@ let variant base i =
       (* Low mobility, DB hoarding. *)
       { base with decision_mode = Global_most_active; reduction_mode = Keep_all }
   in
-  { lane with seed = base.seed + (31 * i); workers = 1 }
+  { lane with seed = base.seed + (31 * i) }
 
 let diversify ?(diversify = true) ~workers base =
   if workers < 1 then
     invalid_arg "Portfolio.diversify: need at least one worker";
   List.init workers (fun i ->
-      if i = 0 then { base with Config.workers = 1 }
+      if i = 0 then base
       else if diversify then variant base i
-      else { base with Config.seed = base.Config.seed + i; workers = 1 })
+      else { base with Config.seed = base.Config.seed + i })
 
 (* ------------------------------------------------------------------ *)
 (* Trace plumbing.                                                     *)
@@ -171,15 +171,12 @@ let write_all fd b =
    below PIPE_BUF, so the write is atomic — EAGAIN (parent slow) or
    EPIPE (parent gone) drops the whole frame and the search goes on:
    sharing never stalls a worker. *)
-let install_export solver config up_wr =
+let install_export solver ~max_len ~max_glue up_wr =
   Unix.set_nonblock up_wr;
   let st = Solver.stats solver in
   let tracer = Solver.trace solver in
   Solver.set_learn_hook solver (fun ~glue lits ->
-      if
-        Share.passes ~max_len:config.Config.share_max_len
-          ~max_glue:config.Config.share_max_glue ~glue lits
-      then begin
+      if Share.passes ~max_len ~max_glue ~glue lits then begin
         let frame = Share.encode_clause ~glue lits in
         match Unix.write up_wr frame 0 (Bytes.length frame) with
         | _ ->
@@ -234,7 +231,7 @@ let install_import solver down_rd =
         List.rev !imports
       end)
 
-let run_child ~hook ~trace_path ~index spec cnf ~up_wr ~down_rd =
+let run_child ~hook ~share ~trace_path ~index spec cnf ~up_wr ~down_rd =
   let code =
     try
       (* A worker may be writing an export frame in the window between
@@ -242,13 +239,14 @@ let run_child ~hook ~trace_path ~index spec cnf ~up_wr ~down_rd =
          (handled) beats dying on SIGPIPE. *)
       Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
       (match hook with Some h -> h index | None -> ());
-      let config = { spec.sp_config with Config.workers = 1; trace_jsonl = trace_path } in
+      let config = { spec.sp_config with Config.trace_jsonl = trace_path } in
       let solver = Solver.create ~config cnf in
       Trace.set_worker (Solver.trace solver) index;
-      if config.Config.share_learnt then begin
-        install_export solver config up_wr;
-        install_import solver down_rd
-      end;
+      Option.iter
+        (fun (max_len, max_glue) ->
+          install_export solver ~max_len ~max_glue up_wr;
+          install_import solver down_rd)
+        share;
       let started = Unix.gettimeofday () in
       let result = Solver.solve ~budget:spec.sp_budget solver in
       let r_seconds = Unix.gettimeofday () -. started in
@@ -298,7 +296,9 @@ let crash_status st =
   | Unix.WSIGNALED sg -> W_signaled sg
   | Unix.WSTOPPED sg -> W_signaled sg
 
-let fork_race ?wall_timeout ?worker_hook ?trace_jsonl specs cnf =
+(* [share] is the export filter's [(max_len, max_glue)] when the workers
+   exchange learnt clauses, [None] when they don't. *)
+let fork_race ~wall_timeout ~share ~worker_hook ~trace_jsonl specs cnf =
   (* Children share our stdio buffers at fork time; flush so nothing
      is emitted twice. *)
   flush stdout;
@@ -308,9 +308,6 @@ let fork_race ?wall_timeout ?worker_hook ?trace_jsonl specs cnf =
   let old_sigpipe =
     try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
     with Invalid_argument _ | Sys_error _ -> None
-  in
-  let share =
-    List.exists (fun sp -> sp.sp_config.Config.share_learnt) specs
   in
   let started = Unix.gettimeofday () in
   let parent_ends = ref [] in
@@ -326,8 +323,8 @@ let fork_race ?wall_timeout ?worker_hook ?trace_jsonl specs cnf =
       List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
         !parent_ends;
       let trace_path = Option.map (fun p -> worker_trace_path p l_index) trace_jsonl in
-      run_child ~hook:worker_hook ~trace_path ~index:l_index spec cnf ~up_wr
-        ~down_rd
+      run_child ~hook:worker_hook ~share ~trace_path ~index:l_index spec cnf
+        ~up_wr ~down_rd
     | pid ->
       Unix.close up_wr;
       Unix.close down_rd;
@@ -438,7 +435,7 @@ let fork_race ?wall_timeout ?worker_hook ?trace_jsonl specs cnf =
           | None -> continue := false
           | Some (Share.Clause { glue; lits }) ->
             w.l_exported <- w.l_exported + 1;
-            if share then begin
+            if Option.is_some share then begin
               let k = Share.key lits in
               if not (Hashtbl.mem seen k) then begin
                 Hashtbl.add seen k ();
@@ -495,13 +492,12 @@ let fork_race ?wall_timeout ?worker_hook ?trace_jsonl specs cnf =
 (* ------------------------------------------------------------------ *)
 (* Entry points.                                                       *)
 
-let sequential ?trace_jsonl spec cnf =
+let sequential ~trace_jsonl spec cnf =
   let config =
     match trace_jsonl with
-    | Some path -> Config.with_trace_jsonl path spec.sp_config
+    | Some path -> { spec.sp_config with Config.trace_jsonl = Some path }
     | None -> spec.sp_config
   in
-  let config = { config with Config.workers = 1 } in
   let solver = Solver.create ~config cnf in
   let started = Unix.gettimeofday () in
   let result = Solver.solve ~budget:spec.sp_budget solver in
@@ -530,7 +526,14 @@ let sequential ?trace_jsonl spec cnf =
     wall_seconds = wall;
   }
 
-let solve_specs ?wall_timeout ?worker_hook ?trace_jsonl specs cnf =
+let solve_specs ?wall_timeout ?(share = true) ?(share_max_len = 8)
+    ?(share_max_glue = 4) ?worker_hook ?trace_jsonl specs cnf =
+  (match wall_timeout with
+  | Some t when not (t >= 0.0) ->
+    invalid_arg "Portfolio.solve_specs: negative wall timeout"
+  | Some _ | None -> ());
+  if share_max_len < 1 || share_max_glue < 1 then
+    invalid_arg "Portfolio.solve_specs: share caps need at least 1";
   match specs with
   | [] -> invalid_arg "Portfolio.solve_specs: empty portfolio"
   | [ spec ] when Option.is_none worker_hook ->
@@ -548,24 +551,19 @@ let solve_specs ?wall_timeout ?worker_hook ?trace_jsonl specs cnf =
         in
         { spec with sp_budget = { spec.sp_budget with max_seconds } }
     in
-    sequential ?trace_jsonl spec cnf
-  | specs -> fork_race ?wall_timeout ?worker_hook ?trace_jsonl specs cnf
+    sequential ~trace_jsonl spec cnf
+  | specs ->
+    let share = if share then Some (share_max_len, share_max_glue) else None in
+    fork_race ~wall_timeout ~share ~worker_hook ~trace_jsonl specs cnf
 
-let solve ?(budget = Solver.no_budget) ?wall_timeout ?trace_jsonl configs cnf =
-  solve_specs ?wall_timeout ?trace_jsonl
-    (List.map (fun sp_config -> { sp_config; sp_budget = budget }) configs)
-    cnf
-
-let solve_config ?(budget = Solver.no_budget) config cnf =
-  let configs =
-    diversify ~diversify:config.Config.portfolio_diversify
-      ~workers:config.Config.workers config
-  in
+let solve_config ?(budget = Solver.no_budget) ?(workers = 1) ?diversify:lanes
+    ?wall_timeout ?share ?share_max_len ?share_max_glue config cnf =
   let specs =
-    List.map (fun sp_config -> { sp_config; sp_budget = budget }) configs
+    List.map
+      (fun sp_config -> { sp_config; sp_budget = budget })
+      (diversify ?diversify:lanes ~workers config)
   in
-  solve_specs
-    ?wall_timeout:config.Config.worker_wall_timeout
+  solve_specs ?wall_timeout ?share ?share_max_len ?share_max_glue
     ?trace_jsonl:config.Config.trace_jsonl specs cnf
 
 (* ------------------------------------------------------------------ *)

@@ -13,9 +13,10 @@
     Workers are plain [Unix.fork] children (no Domains, so the same
     code runs on OCaml 4.14 and 5.x): each solves in its own copy of
     the formula and talks to the parent over a pair of pipes carrying
-    length-prefixed {!Share} frames.  While searching, a worker with
-    {!Berkmin.Config.t.share_learnt} on exports every learnt clause
-    that passes the length/glue filter up its pipe; the parent
+    length-prefixed {!Share} frames.  While searching, each worker of a
+    race with sharing on (the [share] setting of {!solve_specs})
+    exports every learnt clause that passes the length/glue filter up
+    its pipe; the parent
     rebroadcasts each distinct clause to every other worker, which
     adopts the imports at its next restart (see [docs/PARALLEL.md]
     for the wire protocol).  Sharing is best-effort: every export and
@@ -102,11 +103,16 @@ val diversify :
     restarts, low-sensitivity activity with fast decay, randomized
     polarity, and a low-mobility DB-hoarding profile — each with a
     distinct RNG seed.  With [~diversify:false] the workers differ
-    only in seed.  Observability fields of [base] are preserved.
+    only in seed.  Observability fields of [base] are preserved.  A
+    {!Berkmin.Config.t} holds no worker count, so every configuration
+    is one sequential search.
     @raise Invalid_argument when [workers < 1]. *)
 
 val solve_specs :
   ?wall_timeout:float ->
+  ?share:bool ->
+  ?share_max_len:int ->
+  ?share_max_glue:int ->
   ?worker_hook:(int -> unit) ->
   ?trace_jsonl:string ->
   spec list ->
@@ -115,37 +121,44 @@ val solve_specs :
 (** Race an explicit list of workers on the formula.
 
     [wall_timeout] kills any worker still running after that many wall
-    seconds.  [worker_hook] runs in each child just before solving
-    (fault injection for tests: a hook that calls [exit 2] or raises
-    [Sys.sigkill] simulates a crashed worker); passing a hook forces
-    forking even for a single worker.  [trace_jsonl] routes each
-    worker's trace to [path.w<i>] and merges them into [path]
-    afterwards; any trace path inside the specs' configurations is
-    ignored in favour of this per-worker scheme.
+    seconds (default: workers are bounded only by their budgets).
+    [share] (default [true]) exchanges learnt clauses between the
+    workers: each exports the clauses of at most [share_max_len]
+    literals (default 8) and glue at most [share_max_glue] (default 4),
+    the parent rebroadcasts them, and the others import them at their
+    next restart; with [false] no clause frame moves.  [worker_hook]
+    runs in each child just before solving (fault injection for tests:
+    a hook that calls [exit 2] or raises [Sys.sigkill] simulates a
+    crashed worker); passing a hook forces forking even for a single
+    worker.  [trace_jsonl] routes each worker's trace to [path.w<i>]
+    and merges them into [path] afterwards; any trace path inside the
+    specs' configurations is ignored in favour of this per-worker
+    scheme.
 
     SAT models are re-verified in the parent; a worker returning a
     model that does not satisfy the formula is treated as crashed and
     the race continues.
-    @raise Invalid_argument on an empty spec list. *)
-
-val solve :
-  ?budget:Berkmin.Solver.budget ->
-  ?wall_timeout:float ->
-  ?trace_jsonl:string ->
-  Berkmin.Config.t list ->
-  Cnf.t ->
-  outcome
-(** [solve configs cnf] races the given configurations under one
-    shared budget (default {!Berkmin.Solver.no_budget}). *)
+    @raise Invalid_argument on an empty spec list, a negative or NaN
+    [wall_timeout], or a share cap below 1. *)
 
 val solve_config :
-  ?budget:Berkmin.Solver.budget -> Berkmin.Config.t -> Cnf.t -> outcome
-(** The high-level entry point the CLI and harness use: builds the
-    portfolio from the configuration's own knobs —
-    {!Berkmin.Config.t.workers} copies diversified per
-    {!Berkmin.Config.t.portfolio_diversify}, killed after
-    {!Berkmin.Config.t.worker_wall_timeout}, traced to
-    {!Berkmin.Config.t.trace_jsonl} — and races it. *)
+  ?budget:Berkmin.Solver.budget ->
+  ?workers:int ->
+  ?diversify:bool ->
+  ?wall_timeout:float ->
+  ?share:bool ->
+  ?share_max_len:int ->
+  ?share_max_glue:int ->
+  Berkmin.Config.t ->
+  Cnf.t ->
+  outcome
+(** The high-level entry point the CLI and harness use: races
+    [diversify ?diversify ~workers config] (default one worker, which
+    solves in this process), every worker under [budget] (default
+    {!Berkmin.Solver.no_budget}) and traced to
+    {!Berkmin.Config.t.trace_jsonl}.  The other settings are
+    {!solve_specs}'s.
+    @raise Invalid_argument as {!diversify} and {!solve_specs} do. *)
 
 val status_to_string : status -> string
 (** ["won"], ["lost"], ["exhausted"], ["crashed(2)"],

@@ -130,9 +130,11 @@ let parse json =
           let* assumps = lits_field "assumps" json in
           let* max_conflicts = opt_int_field "max_conflicts" json in
           let* max_ms = opt_float_field "max_ms" json in
-          (match max_conflicts with
-          | Some n when n < 0 ->
+          (match max_conflicts, max_ms with
+          | Some n, _ when n < 0 ->
             Error "field \"max_conflicts\" must be non-negative"
+          | _, Some ms when not (ms >= 0.0) ->
+            Error "field \"max_ms\" must be non-negative"
           | _ -> finish (Solve { assumps; max_conflicts; max_ms }))
         | "stats" -> finish Stats
         | "close" -> finish Close

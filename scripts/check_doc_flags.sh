@@ -6,11 +6,9 @@
 #   executables, per its --help.  Catches docs that keep describing
 #   flags after a rename or removal.
 #
-#   help -> docs: every flag berkmin-serverd advertises in its own
-#   --help must appear somewhere in the docs.  The daemon's surface is
-#   small and operator-facing, so an undocumented daemon flag is doc
-#   debt, not noise (the larger executables are exempt: bench/fuzz
-#   grow internal knobs faster than prose should track).
+#   help -> docs: every flag any of the executables advertises in its
+#   own --help must appear somewhere in the docs, so a new or renamed
+#   flag cannot ship undocumented.
 #
 #   scripts/check_doc_flags.sh
 #
@@ -30,11 +28,18 @@ ALLOW='^--(flag|help|version|auto-promote)$'
 
 dune build "${EXES[@]}" 2>/dev/null
 
-help_flags=$(
-  for exe in "${EXES[@]}"; do
-    dune exec "$exe" -- --help=plain 2>/dev/null || true
-  done | grep -oE '(^|[^-[:alnum:]])--[a-z][a-z0-9-]+' | grep -oE -- '--[a-z][a-z0-9-]+' | sort -u
-)
+# The long flags one executable's --help mentions.
+flags_of() {
+  dune exec "$1" -- --help=plain 2>/dev/null \
+    | grep -oE '(^|[^-[:alnum:]])--[a-z][a-z0-9-]+' \
+    | grep -oE -- '--[a-z][a-z0-9-]+' | sort -u || true
+}
+
+declare -A exe_flags
+for exe in "${EXES[@]}"; do
+  exe_flags[$exe]=$(flags_of "$exe")
+done
+help_flags=$(printf '%s\n' "${exe_flags[@]}" | sort -u)
 
 doc_flags=$(
   grep -hoE -- '--[a-z][a-z0-9-]+' README.md docs/*.md | sort -u
@@ -51,27 +56,24 @@ while IFS= read -r flag; do
   fi
 done <<<"$doc_flags"
 
-# Reverse direction: the daemon's advertised flags must be documented.
-serverd_flags=$(
-  dune exec bin/serverd.exe -- --help=plain 2>/dev/null \
-    | grep -oE '(^|[^-[:alnum:]])--[a-z][a-z0-9-]+' \
-    | grep -oE -- '--[a-z][a-z0-9-]+' | sort -u
-)
-
+# Reverse direction: every executable's advertised flags must be
+# documented.
 undocumented=0
-while IFS= read -r flag; do
-  [[ "$flag" =~ $ALLOW ]] && continue
-  if ! grep -qxF -- "$flag" <<<"$doc_flags"; then
-    echo "berkmin-serverd --help advertises $flag but no doc mentions it" >&2
-    undocumented=1
-  fi
-done <<<"$serverd_flags"
+for exe in "${EXES[@]}"; do
+  while IFS= read -r flag; do
+    [[ -z "$flag" || "$flag" =~ $ALLOW ]] && continue
+    if ! grep -qxF -- "$flag" <<<"$doc_flags"; then
+      echo "$exe --help advertises $flag but no doc mentions it" >&2
+      undocumented=1
+    fi
+  done <<<"${exe_flags[$exe]}"
+done
 
 if [[ $missing -eq 0 && $undocumented -eq 0 ]]; then
   count=$(wc -l <<<"$doc_flags")
-  serverd_count=$(wc -l <<<"$serverd_flags")
+  help_count=$(wc -l <<<"$help_flags")
   echo "doc flag audit: all $count documented flags resolve against --help;" \
-       "all $serverd_count serverd flags documented"
+       "all $help_count advertised flags of ${#EXES[@]} executables documented"
 else
   exit 1
 fi

@@ -120,7 +120,26 @@ let test_config_presets_distinct () =
     (List.length (List.sort_uniq compare names));
   List.iter
     (fun (name, c) ->
-      check Alcotest.string ("name_of " ^ name) name (Berkmin.Config.name_of c))
+      check Alcotest.string ("name_of " ^ name) name (Berkmin.Config.name_of c);
+      (* the observability and simplifier fields are not part of a
+         preset's identity... *)
+      List.iter
+        (fun (field, c) ->
+          check Alcotest.string
+            (Printf.sprintf "%s with %s" name field)
+            name (Berkmin.Config.name_of c))
+        [
+          "seed", { c with seed = c.seed + 7 };
+          "trace_jsonl", { c with trace_jsonl = Some "trace.jsonl" };
+          "heartbeat_interval", { c with heartbeat_interval = 10 };
+          "profile_timers", { c with profile_timers = true };
+          "debug_top_cursor", { c with debug_top_cursor = true };
+          "simplify", { c with simplify = Simp_inprocess };
+          "simplify_growth", { c with simplify_growth = 5 };
+        ];
+      (* ...but every search field is *)
+      check Alcotest.string (name ^ " with top_window = 2") "custom"
+        (Berkmin.Config.name_of { c with top_window = 2 }))
     presets
 
 let test_experiment_names () =

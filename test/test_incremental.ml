@@ -222,9 +222,17 @@ let test_budget_convergence () =
   let fresh = Solver.solve (Solver.create cnf) in
   check Alcotest.string "limited convergence agrees with one-shot"
     (verdict_name fresh) (verdict_name !r);
-  Alcotest.check_raises "negative budget"
-    (Invalid_argument "Solver.solve: negative budget") (fun () ->
-      ignore (limited (-1)))
+  List.iter
+    (fun (what, budget) ->
+      Alcotest.check_raises what
+        (Invalid_argument "Solver.solve: negative budget") (fun () ->
+          ignore (Solver.solve ~budget s)))
+    [
+      "negative budget", Solver.budget_conflicts (-1);
+      ( "negative time budget",
+        { Solver.no_budget with max_seconds = Some (-1.0) } );
+      "NaN time budget", { Solver.no_budget with max_seconds = Some Float.nan };
+    ]
 
 (* The conflict cap is checked after every conflict, not on a sampling
    stride, so a run spends exactly its budget, counted from the call. *)

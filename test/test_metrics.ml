@@ -233,7 +233,7 @@ let test_trace_jsonl_sink () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let config = Config.with_trace_jsonl path Config.berkmin in
+      let config = { Config.berkmin with trace_jsonl = Some path } in
       let solver, result = solve_hole ~config 6 in
       check Alcotest.bool "unsat" true (result = Solver.Unsat);
       Solver.close_trace solver;
@@ -259,7 +259,7 @@ let test_trace_jsonl_sink () =
 
 let test_trace_heartbeat () =
   let interval = 25 in
-  let config = Config.with_heartbeat interval Config.berkmin in
+  let config = { Config.berkmin with heartbeat_interval = interval } in
   let inst = Berkmin_gen.Pigeonhole.instance 7 6 in
   let solver = Solver.create ~config inst.Berkmin_gen.Instance.cnf in
   let beats = ref [] in
@@ -283,7 +283,7 @@ let test_trace_heartbeat () =
 
 let test_solver_metrics () =
   let solver, _ =
-    solve_hole ~config:(Config.with_profile_timers Config.berkmin) 6
+    solve_hole ~config:{ Config.berkmin with profile_timers = true } 6
   in
   let st = Solver.stats solver in
   let snap = Solver.metrics solver |> Metrics.snapshot in

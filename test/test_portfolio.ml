@@ -1,7 +1,8 @@
 (* Tests for the process-parallel portfolio: sequential equivalence,
    deterministic races with a known winner, crash injection (clean
-   exits and SIGKILL mid-solve), wall-clock timeouts, diversification
-   and the merged per-worker JSONL trace. *)
+   exits and SIGKILL mid-solve), wall-clock timeouts, diversification,
+   the range checks on the race settings and the merged per-worker
+   JSONL trace. *)
 
 open Berkmin_types
 module Config = Berkmin.Config
@@ -33,7 +34,11 @@ let test_sequential_equivalence () =
   let solver = Solver.create ~config:Config.berkmin cnf in
   let expected = Solver.solve solver in
   let st = Solver.stats solver in
-  let outcome = Portfolio.solve [ Config.berkmin ] cnf in
+  let outcome =
+    Portfolio.solve_specs
+      [ { Portfolio.sp_config = Config.berkmin; sp_budget = Solver.no_budget } ]
+      cnf
+  in
   check Alcotest.string "same verdict" (result_kind expected)
     (result_kind outcome.Portfolio.result);
   check (Alcotest.option Alcotest.int) "worker 0 wins" (Some 0)
@@ -50,8 +55,8 @@ let test_sequential_equivalence () =
         pst.Stats.propagations
     | None -> Alcotest.fail "sequential worker has no stats")
   | ws -> Alcotest.failf "expected 1 worker record, got %d" (List.length ws));
-  (* and via the config knob *)
-  let outcome' = Portfolio.solve_config (Config.with_workers 1 Config.berkmin) cnf in
+  (* and via the one-worker race *)
+  let outcome' = Portfolio.solve_config ~workers:1 Config.berkmin cnf in
   check Alcotest.string "solve_config same verdict" (result_kind expected)
     (result_kind outcome'.Portfolio.result)
 
@@ -132,10 +137,10 @@ let test_known_winner () =
 
 let test_sat_race_agrees_with_sequential () =
   let cnf = Lazy.force easy_sat in
-  let sequential = Portfolio.solve [ Config.berkmin ] cnf in
+  let sequential = Portfolio.solve_config Config.berkmin cnf in
   let configs = Portfolio.diversify ~workers:4 Config.berkmin in
   check Alcotest.int "4 configs" 4 (List.length configs);
-  let outcome = Portfolio.solve configs cnf in
+  let outcome = Portfolio.solve_config ~workers:4 Config.berkmin cnf in
   check Alcotest.string "same verdict as sequential"
     (result_kind sequential.Portfolio.result)
     (result_kind outcome.Portfolio.result);
@@ -229,10 +234,6 @@ let test_diversify () =
   let seeds = List.map (fun c -> c.Config.seed) configs in
   check Alcotest.int "distinct seeds" 8
     (List.length (List.sort_uniq compare seeds));
-  (* every worker config is itself sequential (no recursive forking) *)
-  List.iter
-    (fun c -> check Alcotest.int "worker config workers=1" 1 c.Config.workers)
-    configs;
   (* at least one lane changes the restart policy and one the DB *)
   let restarts =
     List.sort_uniq compare
@@ -248,15 +249,41 @@ let test_diversify () =
     same
 
 (* ------------------------------------------------------------------ *)
+(* Race settings out of range are refused before any worker forks.     *)
+
+let test_invalid_settings () =
+  let cnf = hole 5 in
+  let spec =
+    { Portfolio.sp_config = Config.berkmin; sp_budget = Solver.no_budget }
+  in
+  Alcotest.check_raises "no workers"
+    (Invalid_argument "Portfolio.diversify: need at least one worker")
+    (fun () -> ignore (Portfolio.solve_config ~workers:0 Config.berkmin cnf));
+  let caps =
+    Invalid_argument "Portfolio.solve_specs: share caps need at least 1"
+  in
+  Alcotest.check_raises "length cap 0" caps (fun () ->
+      ignore (Portfolio.solve_specs ~share_max_len:0 [ spec; spec ] cnf));
+  Alcotest.check_raises "glue cap 0" caps (fun () ->
+      ignore
+        (Portfolio.solve_config ~workers:2 ~share_max_glue:0 Config.berkmin
+           cnf));
+  let timeout =
+    Invalid_argument "Portfolio.solve_specs: negative wall timeout"
+  in
+  Alcotest.check_raises "negative wall timeout" timeout (fun () ->
+      ignore (Portfolio.solve_specs ~wall_timeout:(-1.0) [ spec; spec ] cnf));
+  Alcotest.check_raises "NaN wall timeout" timeout (fun () ->
+      ignore (Portfolio.solve_specs ~wall_timeout:Float.nan [ spec ] cnf))
+
+(* ------------------------------------------------------------------ *)
 (* Merged trace with per-worker tags.                                  *)
 
 let test_merged_trace () =
   let path = Filename.temp_file "portfolio_trace" ".jsonl" in
   let cnf = hole 5 in
-  let config =
-    Config.berkmin |> Config.with_workers 2 |> Config.with_trace_jsonl path
-  in
-  let outcome = Portfolio.solve_config config cnf in
+  let config = { Config.berkmin with trace_jsonl = Some path } in
+  let outcome = Portfolio.solve_config ~workers:2 config cnf in
   check Alcotest.string "traced race still UNSAT" "UNSAT"
     (result_kind outcome.Portfolio.result);
   let ic = open_in path in
@@ -297,9 +324,7 @@ let test_merged_trace () =
 
 let test_outcome_json () =
   let cnf = hole 6 in
-  let outcome =
-    Portfolio.solve (Portfolio.diversify ~workers:2 Config.berkmin) cnf
-  in
+  let outcome = Portfolio.solve_config ~workers:2 Config.berkmin cnf in
   let json = Portfolio.outcome_to_json outcome in
   (* round-trips through the hand-rolled parser *)
   let json = Json.of_string (Json.to_string json) in
@@ -338,6 +363,8 @@ let () =
           Alcotest.test_case "all workers fail" `Quick test_all_workers_fail;
         ] );
       ( "diversify", [ Alcotest.test_case "lanes" `Quick test_diversify ] );
+      ( "settings",
+        [ Alcotest.test_case "out of range" `Quick test_invalid_settings ] );
       ( "observability",
         [
           Alcotest.test_case "merged trace" `Quick test_merged_trace;

@@ -284,10 +284,7 @@ let test_root_fact_outlives_its_support () =
     Berkmin_gen.Random_ksat.generate ~num_vars:30 ~num_clauses:150 ~k:3
       ~seed:17
   in
-  let config =
-    Berkmin.Config.with_restart_mode (Berkmin.Config.Fixed 10)
-      Berkmin.Config.berkmin
-  in
+  let config = { Berkmin.Config.berkmin with restart_mode = Fixed 10 } in
   let solver = Berkmin.Solver.create ~config cnf in
   let proof = Drup.create () in
   Berkmin.Solver.set_proof_logger solver (Drup.record proof);

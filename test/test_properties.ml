@@ -133,12 +133,12 @@ let prop_simplify_preserves_verdict =
       let plain = solver_verdict cnf in
       let pre =
         solver_verdict
-          ~config:(Config.with_simplify Config.Simp_pre Config.berkmin)
+          ~config:{ Config.berkmin with simplify = Simp_pre }
           cnf
       in
       let inproc =
         solver_verdict
-          ~config:(Config.with_simplify Config.Simp_inprocess Config.berkmin)
+          ~config:{ Config.berkmin with simplify = Simp_inprocess }
           cnf
       in
       plain = pre && plain = inproc)
@@ -209,7 +209,7 @@ let prop_cursor_matches_naive =
         in
         (verdict, List.rev !decisions)
       in
-      run (Config.with_debug_top_cursor Config.berkmin) = run Config.berkmin)
+      run { Config.berkmin with debug_top_cursor = true } = run Config.berkmin)
 
 let prop_deterministic =
   QCheck.Test.make ~name:"runs are reproducible" ~count:100 random_cnf_gen
@@ -293,7 +293,7 @@ let test_fuzz_binary_layer_campaign () =
           [
             Fuzz_oracle.cdcl ();
             Fuzz_oracle.cdcl
-              ~config:(Config.with_debug_top_cursor Config.berkmin) ();
+              ~config:{ Config.berkmin with debug_top_cursor = true } ();
             Fuzz_oracle.cdcl ~config:Config.chaff ();
             Fuzz_oracle.dpll ();
           ];

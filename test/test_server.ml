@@ -182,19 +182,20 @@ let test_budget_exhaustion () =
   let r = handle_ok server (obj [ "op", str "solve"; "session", str "h" ]) in
   check Alcotest.string "resident solver converges" "unsat" (status_of r)
 
+(* Conflicts session "h" has spent so far, per its [stats] reply. *)
+let session_conflicts server =
+  let r = handle_ok server (obj [ "op", str "stats"; "session", str "h" ]) in
+  match Json.member "conflicts" r with
+  | Some (Json.Int n) -> n
+  | _ -> Alcotest.failf "no conflicts in %s" (Json.to_string r)
+
 (* Each budgeted request spends exactly its own allowance, whatever
    the session spent before. *)
 let test_budget_is_exact () =
   let server = Server.create () in
   open_php_session server;
-  let conflicts () =
-    let r = handle_ok server (obj [ "op", str "stats"; "session", str "h" ]) in
-    match Json.member "conflicts" r with
-    | Some (Json.Int n) -> n
-    | _ -> Alcotest.failf "no conflicts in %s" (Json.to_string r)
-  in
   for call = 1 to 3 do
-    let before = conflicts () in
+    let before = session_conflicts server in
     let r =
       handle_ok server
         (obj [ "op", str "solve"; "session", str "h"; "max_conflicts", int 5 ])
@@ -203,8 +204,23 @@ let test_budget_is_exact () =
     check Alcotest.int
       (Printf.sprintf "call %d spends its 5 conflicts" call)
       5
-      (conflicts () - before)
+      (session_conflicts server - before)
   done
+
+(* A negative time budget is refused like a negative conflict budget:
+   an error reply, and no search spent. *)
+let test_negative_time_budget () =
+  let server = Server.create () in
+  open_php_session server;
+  let before = session_conflicts server in
+  assert_error
+    (handle_ok server
+       (obj
+          [
+            "op", str "solve"; "session", str "h"; "max_ms", Json.Float (-5.0);
+          ]))
+    "\"max_ms\" must be non-negative";
+  check Alcotest.int "no conflicts spent" before (session_conflicts server)
 
 let test_trace_and_metrics () =
   let server = Server.create () in
@@ -329,6 +345,8 @@ let () =
           Alcotest.test_case "errors and id echo" `Quick test_errors_and_echo;
           Alcotest.test_case "budget exhaustion" `Quick test_budget_exhaustion;
           Alcotest.test_case "budget is exact" `Quick test_budget_is_exact;
+          Alcotest.test_case "negative time budget" `Quick
+            test_negative_time_budget;
         ] );
       ( "observability",
         [ Alcotest.test_case "trace and metrics" `Quick test_trace_and_metrics ]

@@ -245,20 +245,17 @@ let test_learn_hook_reports_glue () =
 
 let test_two_worker_exchange () =
   let cnf = hole 8 in
-  let wide c =
-    c
-    |> Config.with_share_max_len Share.max_clause_lits
-    |> Config.with_share_max_glue 255
-  in
-  let fast_restarts c = { c with Config.restart_mode = Config.Fixed 20 } in
   let spec budget config =
     { Portfolio.sp_config = config; sp_budget = Solver.budget_conflicts budget }
   in
-  let exporter = spec 400 (wide Config.berkmin) in
-  let importer = spec 400 (fast_restarts (wide Config.berkmin)) in
+  let exporter = spec 400 Config.berkmin in
+  let importer =
+    spec 400 { Config.berkmin with restart_mode = Config.Fixed 20 }
+  in
   let hook i = if i = 1 then ignore (Unix.select [] [] [] 0.2) in
   let outcome =
-    Portfolio.solve_specs ~worker_hook:hook [ exporter; importer ] cnf
+    Portfolio.solve_specs ~share_max_len:Share.max_clause_lits
+      ~share_max_glue:255 ~worker_hook:hook [ exporter; importer ] cnf
   in
   check Alcotest.string "both exhausted -> UNKNOWN" "UNKNOWN"
     (Portfolio.result_to_string outcome.Portfolio.result);
@@ -282,11 +279,13 @@ let test_two_worker_exchange () =
 (* Sharing off: the same race moves no frames at all. *)
 let test_share_off_moves_nothing () =
   let cnf = hole 6 in
-  let config = Config.with_share_learnt false Config.berkmin in
   let spec =
-    { Portfolio.sp_config = config; sp_budget = Solver.no_budget }
+    { Portfolio.sp_config = Config.berkmin; sp_budget = Solver.no_budget }
   in
-  let outcome = Portfolio.solve_specs ~worker_hook:(fun _ -> ()) [ spec; spec ] cnf in
+  let outcome =
+    Portfolio.solve_specs ~share:false ~worker_hook:(fun _ -> ()) [ spec; spec ]
+      cnf
+  in
   check Alcotest.string "still UNSAT" "UNSAT"
     (Portfolio.result_to_string outcome.Portfolio.result);
   List.iter

@@ -42,8 +42,8 @@ let run_engine ?opts ?(frozen = fun _ -> false) ?(roots = []) ~nvars lists =
   in
   Engine.run ?opts ~nvars ~frozen ~roots ~proof:ignore clauses
 
-let pre = Config.with_simplify Config.Simp_pre Config.berkmin
-let inproc = Config.with_simplify Config.Simp_inprocess Config.berkmin
+let pre = { Config.berkmin with simplify = Simp_pre }
+let inproc = { Config.berkmin with simplify = Simp_inprocess }
 
 (* ------------------------------------------------------------------ *)
 (* Engine: subsumption and strengthening                               *)

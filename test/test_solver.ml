@@ -190,8 +190,8 @@ let test_seed_changes_run () =
   (* take_random flips coins, so a different seed should give a
      different trace on a nontrivial instance. *)
   let cnf = Berkmin_gen.Pigeonhole.php 7 6 in
-  let a = run_stats (Config.with_seed 1 Config.take_random) cnf in
-  let b = run_stats (Config.with_seed 2 Config.take_random) cnf in
+  let a = run_stats { Config.take_random with seed = 1 } cnf in
+  let b = run_stats { Config.take_random with seed = 2 } cnf in
   check Alcotest.bool "different seeds diverge" true (a <> b)
 
 (* ------------------------------------------------------------------ *)

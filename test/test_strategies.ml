@@ -34,7 +34,7 @@ let sorted = List.sort compare
    minimization — asserting literal first, remainder sorted — plus
    the end-of-run statistics. *)
 let first_conflict ?(ccmin = Config.Ccmin_off) ~assumps cnf =
-  let config = Config.with_ccmin ccmin Config.berkmin in
+  let config = { Config.berkmin with ccmin_mode = ccmin } in
   let s = Solver.create ~config cnf in
   let captured = ref None in
   let shape = function
@@ -163,10 +163,7 @@ let prop_ccmin_invariants =
 let test_ccmin_deep_drup_with_elimination () =
   let cnf = Berkmin_gen.Pigeonhole.php 7 6 in
   let config =
-    {
-      (Config.with_simplify Config.Simp_pre Config.berkmin) with
-      Config.ccmin_mode = Config.Ccmin_deep;
-    }
+    { Config.berkmin with simplify = Simp_pre; ccmin_mode = Ccmin_deep }
   in
   let s = Solver.create ~config cnf in
   let proof = Drup.create () in
@@ -187,7 +184,7 @@ let test_ccmin_deep_drup_with_elimination () =
 
 let test_phase_saving_hits_live () =
   let cnf = Berkmin_gen.Pigeonhole.php 7 6 in
-  let saving = Config.with_phase_saving true Config.berkmin in
+  let saving = { Config.berkmin with phase_saving = true } in
   let run config =
     let s = Solver.create ~config cnf in
     let r = Solver.solve s in
@@ -213,7 +210,7 @@ let test_luby_prefix () =
 
 let test_luby_restart_sequence_index () =
   let cnf = Berkmin_gen.Pigeonhole.php 7 6 in
-  let config = Config.with_restart_mode (Config.Luby 32) Config.berkmin in
+  let config = { Config.berkmin with restart_mode = Luby 32 } in
   let s = Solver.create ~config cnf in
   (match Solver.solve s with
   | Solver.Unsat -> ()
@@ -229,9 +226,7 @@ let test_luby_restart_sequence_index () =
 
 let test_glue_reduction_classifies () =
   let cnf = Berkmin_gen.Pigeonhole.php 8 7 in
-  let config =
-    Config.with_reduction_mode (Config.Glue_lbd 3) Config.berkmin
-  in
+  let config = { Config.berkmin with reduction_mode = Glue_lbd 3 } in
   let s = Solver.create ~config cnf in
   (match Solver.solve s with
   | Solver.Unsat -> ()
@@ -247,11 +242,10 @@ let test_glue_reduction_classifies () =
 
 let strategy_configs =
   [
-    "ccmin-deep", Config.with_ccmin Config.Ccmin_deep Config.berkmin;
-    "phase-saving", Config.with_phase_saving true Config.berkmin;
-    "luby", Config.with_restart_mode (Config.Luby 64) Config.berkmin;
-    ( "glue-reduce",
-      Config.with_reduction_mode (Config.Glue_lbd 3) Config.berkmin );
+    "ccmin-deep", { Config.berkmin with ccmin_mode = Ccmin_deep };
+    "phase-saving", { Config.berkmin with phase_saving = true };
+    "luby", { Config.berkmin with restart_mode = Luby 64 };
+    "glue-reduce", { Config.berkmin with reduction_mode = Glue_lbd 3 };
     "modern", Config.modern;
   ]
 
