@@ -75,7 +75,7 @@ let run_portfolio ~race ~workers ~diversify ~config ~file ~stats_flag ~check
   let seconds = Unix.gettimeofday () -. started in
   if not quiet then begin
     Format.printf "c portfolio of %d workers (%s)@." workers
-      (if diversify then "diversified" else "seed-only");
+      (if diversify = Some false then "seed-only" else "diversified");
     List.iter
       (fun w ->
         Printf.printf "c worker %d: %-16s seed=%-6d %-12s %.3fs\n"
@@ -125,7 +125,26 @@ let run file strategy max_conflicts max_seconds proof_file stats_flag check
          derivation, not a race (drop --proof or use --workers 1)\n";
       exit 2
     end;
-    if share_max_len < 1 || share_max_glue < 1 then begin
+    (* The race's own settings mean nothing to a sequential solve, so
+       naming one there is a mistake rather than a no-op. *)
+    let portfolio_only =
+      List.filter_map
+        (fun (flag, given) -> if given then Some flag else None)
+        [
+          "--portfolio-diversify", diversify <> None;
+          "--worker-timeout", worker_timeout <> None;
+          "--share", share <> None;
+          "--share-max-len", share_max_len <> None;
+          "--share-max-glue", share_max_glue <> None;
+        ]
+    in
+    if workers = 1 && portfolio_only <> [] then begin
+      Printf.eprintf "%s: portfolio only, needs --workers > 1\n"
+        (String.concat ", " portfolio_only);
+      exit 2
+    end;
+    let below_one = Option.fold ~none:false ~some:(fun n -> n < 1) in
+    if below_one share_max_len || below_one share_max_glue then begin
       Printf.eprintf "--share-max-len and --share-max-glue must be >= 1\n";
       exit 2
     end;
@@ -151,8 +170,8 @@ let run file strategy max_conflicts max_seconds proof_file stats_flag check
       if not quiet then
         Format.printf "c strategy %a@." Berkmin.Config.pp config;
       let race =
-        Portfolio.solve_config ~budget ~workers ~diversify
-          ?wall_timeout:worker_timeout ~share ~share_max_len ~share_max_glue
+        Portfolio.solve_config ~budget ~workers ?diversify
+          ?wall_timeout:worker_timeout ?share ?share_max_len ?share_max_glue
           config
       in
       try
@@ -316,7 +335,8 @@ let workers =
 
 let diversify =
   Arg.(
-    value & opt bool true
+    value
+    & opt (some bool) None
     & info [ "portfolio-diversify" ] ~docv:"BOOL"
         ~doc:
           "With --workers > 1: diversify the portfolio across restart \
@@ -336,7 +356,8 @@ let worker_timeout =
 
 let share =
   Arg.(
-    value & opt bool true
+    value
+    & opt (some bool) None
     & info [ "share" ] ~docv:"BOOL"
         ~doc:
           "With --workers > 1: exchange learnt clauses between the \
@@ -348,7 +369,8 @@ let share =
 
 let share_max_len =
   Arg.(
-    value & opt int 8
+    value
+    & opt (some int) None
     & info [ "share-max-len" ] ~docv:"K"
         ~doc:
           "Export only learnt clauses of at most $(docv) literals \
@@ -356,7 +378,8 @@ let share_max_len =
 
 let share_max_glue =
   Arg.(
-    value & opt int 4
+    value
+    & opt (some int) None
     & info [ "share-max-glue" ] ~docv:"G"
         ~doc:
           "Export only learnt clauses whose learn-time glue (LBD: \

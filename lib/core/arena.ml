@@ -64,16 +64,16 @@ let alloc ?imported a ~learnt lits =
 
 let clause_size a c = a.data.(c) lsr size_shift
 let clause_words a c = clause_size a c + header_words
-let is_learnt a c = a.data.(c) land learnt_bit <> 0
+let[@inline] is_learnt a c = a.data.(c) land learnt_bit <> 0
 let is_deleted a c = a.data.(c) land deleted_bit <> 0
-let is_imported a c = a.data.(c) land imported_bit <> 0
+let[@inline] is_imported a c = a.data.(c) land imported_bit <> 0
 let relocated a c = a.data.(c) land relocated_bit <> 0
 
 let activity a c = a.data.(c + 1)
 let set_activity a c v = a.data.(c + 1) <- v
-let bump_activity a c = a.data.(c + 1) <- a.data.(c + 1) + 1
+let[@inline] bump_activity a c = a.data.(c + 1) <- a.data.(c + 1) + 1
 
-let lit a c j = a.data.(c + lits_offset + j)
+let[@inline] lit a c j = a.data.(c + lits_offset + j)
 let set_lit a c j l = a.data.(c + lits_offset + j) <- l
 
 let swap_lits a c i j =

@@ -36,7 +36,7 @@ let clear t =
   Array.iter Ivec.clear t.index;
   t.entries <- 0
 
-let implications t p = t.index.(p)
+let[@inline] implications t p = t.index.(p)
 
 let num_entries t = t.entries
 

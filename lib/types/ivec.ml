@@ -12,7 +12,7 @@ let of_list l =
     let data = Array.of_list l in
     { data; len = Array.length data }
 
-let length v = v.len
+let[@inline] length v = v.len
 let is_empty v = v.len = 0
 
 (* The message is built only on the failure path, so [get] and [set]
@@ -20,11 +20,11 @@ let is_empty v = v.len = 0
 let[@inline never] out_of_bounds op v i =
   invalid_arg (Printf.sprintf "Ivec.%s: index %d out of bounds [0,%d)" op i v.len)
 
-let get v i =
+let[@inline] get v i =
   if i < 0 || i >= v.len then out_of_bounds "get" v i;
   Array.unsafe_get v.data i
 
-let set v i x =
+let[@inline] set v i x =
   if i < 0 || i >= v.len then out_of_bounds "set" v i;
   Array.unsafe_set v.data i x
 

@@ -7,9 +7,21 @@
     is an [int array] underneath, so a store is a plain move and the
     bounds check of {!get} and {!set} is an inline compare.  The
     operations it shares with {!Vec} keep {!Vec}'s contract, bounds
-    errors included. *)
+    errors included.
 
-type t
+    [t] is [private] rather than abstract for the compiler's sake, not
+    for callers: knowing that a vector is a record lets it read an
+    [Ivec.t array] (the solver's watch lists, the binary implication
+    index) as an array of pointers, without the run-time float-array
+    tag test an abstract element type needs.  Only this module reads
+    or writes the fields; everyone else goes through the functions
+    below, whose [get], [set] and [length] inline into their callers,
+    bounds check included. *)
+
+type t = private {
+  mutable data : int array;
+  mutable len : int;
+}
 
 val create : ?capacity:int -> unit -> t
 (** Fresh empty vector. *)

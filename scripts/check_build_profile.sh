@@ -1,0 +1,48 @@
+#!/usr/bin/env bash
+# Build-profile guard, blocking in CI.  The root dune-workspace makes
+# every plain `dune build` use a profile that compiles without
+# -opaque (so small accessors inline across modules) while keeping
+# dev's warnings-as-errors.  This fails when either half slips:
+#
+#   - the default profile's flags differ from dev's, which would
+#     loosen (or silently change) the lint gate;
+#   - the solver's compile command carries -opaque (inlining lost) or
+#     -unsafe (Ivec's bounds check is part of its contract).
+#
+#   scripts/check_build_profile.sh
+#
+# The dune calls run one after another: two at once contend for
+# _build/.lock and the second fails.
+
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+status=0
+
+default_flags=$(dune printenv --field flags .)
+dev_flags=$(dune printenv --profile dev --field flags .)
+if [ "$default_flags" != "$dev_flags" ]; then
+  echo "check_build_profile: default profile flags differ from dev's" \
+    "(< dev, > default):"
+  diff <(printf '%s\n' "$dev_flags") <(printf '%s\n' "$default_flags") \
+    | grep '^[<>]' || true
+  status=1
+fi
+
+solver_cmx=_build/default/lib/core/.berkmin.objs/native/berkmin__Solver.cmx
+if ! rules=$(dune rules "$solver_cmx"); then
+  echo "check_build_profile: dune rules failed for $solver_cmx"
+  exit 1
+fi
+bad=$(printf '%s\n' "$rules" \
+  | grep -nE -- '^[[:space:]]*-(opaque|unsafe)([[:space:])]|$)' || true)
+if [ -n "$bad" ]; then
+  echo "check_build_profile: $solver_cmx compiles with:"
+  printf '%s\n' "$bad" | sed 's/^/  /'
+  status=1
+fi
+
+if [ "$status" -eq 0 ]; then
+  echo "check_build_profile: OK (dev's flags, no -opaque, no -unsafe)"
+fi
+exit "$status"

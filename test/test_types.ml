@@ -172,6 +172,18 @@ end
 module Vec_tests = Vec_cases (Poly_vec)
 module Ivec_tests = Vec_cases (Int_vec)
 
+(* The functor above calls [Ivec] through a module parameter, so those
+   calls never inline.  These direct calls run the copy of the bounds
+   check that [get] and [set] compile into their callers. *)
+let test_ivec_inlined_bounds () =
+  let v = Ivec.of_list [ 1; 2; 3 ] in
+  Alcotest.check_raises "get oob"
+    (Invalid_argument "Ivec.get: index 3 out of bounds [0,3)")
+    (fun () -> ignore (Ivec.get v 3));
+  Alcotest.check_raises "set oob"
+    (Invalid_argument "Ivec.set: index -1 out of bounds [0,3)")
+    (fun () -> Ivec.set v (-1) 9)
+
 let test_vec_swap_remove () =
   let v = Vec.of_list [ 10; 20; 30; 40 ] ~dummy:0 in
   Vec.swap_remove v 1;
@@ -385,6 +397,7 @@ let () =
         [
           Alcotest.test_case "push/pop" `Quick Ivec_tests.test_push_pop;
           Alcotest.test_case "bounds" `Quick Ivec_tests.test_bounds;
+          Alcotest.test_case "bounds, inlined" `Quick test_ivec_inlined_bounds;
           Alcotest.test_case "shrink/clear" `Quick Ivec_tests.test_shrink_clear;
           Alcotest.test_case "filter_in_place" `Quick
             Ivec_tests.test_filter_in_place;
