@@ -235,18 +235,18 @@ let strategy =
           "Solver configuration preset (berkmin, chaff, less_mobility, ...; \
            see --help).")
 
+let non_negative_int =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 0 -> Ok n
+        | Some _ | None -> Error (`Msg "expected a non-negative integer")),
+      Format.pp_print_int )
+
 let max_conflicts =
-  let non_negative =
-    Arg.conv
-      ( (fun s ->
-          match int_of_string_opt s with
-          | Some n when n >= 0 -> Ok n
-          | Some _ | None -> Error (`Msg "expected a non-negative integer")),
-        Format.pp_print_int )
-  in
   Arg.(
     value
-    & opt (some non_negative) None
+    & opt (some non_negative_int) None
     & info [ "max-conflicts" ] ~docv:"N" ~doc:"Abort after N conflicts.")
 
 (* Seconds for a budget or a timeout: [x >= 0.] is false for NaN too. *)
@@ -310,7 +310,7 @@ let trace_file =
 
 let heartbeat =
   Arg.(
-    value & opt int 0
+    value & opt non_negative_int 0
     & info [ "heartbeat" ] ~docv:"N"
         ~doc:
           "Emit a heartbeat trace event every N conflicts (0 disables; \

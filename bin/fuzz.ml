@@ -106,6 +106,16 @@ let run seed rounds max_vars max_mutations shrink incremental_queries
 
 open Cmdliner
 
+(* A count below [lo] is a usage error, like a malformed number. *)
+let int_at_least lo =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= lo -> Ok n
+        | Some _ | None ->
+          Error (`Msg (Printf.sprintf "expected an integer >= %d" lo))),
+      Format.pp_print_int )
+
 let seed =
   Arg.(
     value & opt int 0
@@ -117,18 +127,19 @@ let seed =
 
 let rounds =
   Arg.(
-    value & opt int 200
-    & info [ "rounds" ] ~docv:"N" ~doc:"Number of fuzzing rounds to run.")
+    value & opt (int_at_least 1) 200
+    & info [ "rounds" ] ~docv:"N"
+        ~doc:"Number of fuzzing rounds to run (at least 1).")
 
 let max_vars =
   Arg.(
-    value & opt int 30
+    value & opt (int_at_least 4) 30
     & info [ "max-vars" ] ~docv:"N"
         ~doc:"Variable cap for generated cases (at least 4).")
 
 let max_mutations =
   Arg.(
-    value & opt int 4
+    value & opt (int_at_least 0) 4
     & info [ "mutations" ] ~docv:"N"
         ~doc:"Each round applies 0..$(docv) structured mutations.")
 
@@ -143,7 +154,7 @@ let shrink =
 let incremental_queries =
   Arg.(
     value
-    & opt int Runner.default.Runner.incremental_queries
+    & opt (int_at_least 0) Runner.default.Runner.incremental_queries
     & info
         [ "incremental-queries" ]
         ~docv:"N"

@@ -80,10 +80,20 @@ let strategy =
         ~doc:"Solver preset seeding every session.")
 
 let max_sessions =
+  let positive =
+    Arg.conv
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= 1 -> Ok n
+          | Some _ | None -> Error (`Msg "expected a positive integer")),
+        Format.pp_print_int )
+  in
   Arg.(
-    value & opt int 64
+    value & opt positive 64
     & info [ "max-sessions" ] ~docv:"N"
-        ~doc:"Refuse new sessions beyond $(docv) resident solvers.")
+        ~doc:
+          "Refuse new sessions beyond $(docv) resident solvers (at least \
+           1).")
 
 let simplify =
   Arg.(

@@ -1,11 +1,14 @@
-(* Tests for the berkmin executable's flag checks.  The built binary
-   comes in as the command-line argument; each case runs it on a tiny
-   UNSAT formula this file writes itself. *)
+(* Tests for the flag checks of the berkmin, berkmin-fuzz and
+   berkmin-serverd executables.  The built binaries come in as the
+   command-line arguments, in that order; berkmin runs on a tiny UNSAT
+   formula this file writes itself. *)
 
 let absolute p =
   if Filename.is_relative p then Filename.concat (Sys.getcwd ()) p else p
 
 let berkmin = absolute Sys.argv.(1)
+let fuzz = absolute Sys.argv.(2)
+let serverd = absolute Sys.argv.(3)
 
 let unsat_cnf =
   let path = Filename.temp_file "unsat" ".cnf" in
@@ -14,20 +17,24 @@ let unsat_cnf =
   at_exit (fun () -> Sys.remove path);
   path
 
-(* Runs berkmin on the formula with [args]; returns its exit code and
-   its stdout and stderr together. *)
-let run_berkmin args =
+(* Runs [exe] with [args] and stdin at end of file, so a daemon that
+   starts serves nothing and exits; returns the exit code and stdout
+   and stderr together. *)
+let run exe args =
   let out = Filename.temp_file "berkmin" ".out" in
   let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  let argv = Array.of_list (berkmin :: unsat_cnf :: "-q" :: args) in
-  let pid = Unix.create_process berkmin argv Unix.stdin fd fd in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  let pid = Unix.create_process exe (Array.of_list (exe :: args)) null fd fd in
   Unix.close fd;
+  Unix.close null;
   let _, status = Unix.waitpid [] pid in
   let text = In_channel.with_open_text out In_channel.input_all in
   Sys.remove out;
   match status with
   | Unix.WEXITED code -> (code, text)
-  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> Alcotest.fail "berkmin killed"
+  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> Alcotest.failf "%s killed" exe
+
+let run_berkmin args = run berkmin (unsat_cnf :: "-q" :: args)
 
 let contains text sub =
   let n = String.length sub in
@@ -50,6 +57,21 @@ let test_portfolio_flag_with_workers () =
   if not (contains text "s UNSATISFIABLE") then
     Alcotest.failf "no UNSAT answer:\n%s" text
 
+(* An out-of-range count is a usage error that names the flag. *)
+let test_out_of_range exe args flag () =
+  let code, text = run exe args in
+  Alcotest.(check int) "exit code" 124 code;
+  if not (contains text flag) then
+    Alcotest.failf "message does not name %s:\n%s" flag text
+
+(* One case per [(flag, value, other args)], named [flag=value]. *)
+let out_of_range exe cases =
+  List.map
+    (fun (flag, value, rest) ->
+      let arg = flag ^ "=" ^ value in
+      Alcotest.test_case arg `Quick (test_out_of_range exe (arg :: rest) flag))
+    cases
+
 let () =
   let rejected =
     List.map
@@ -65,6 +87,20 @@ let () =
   in
   Alcotest.run ~argv:[| Sys.argv.(0) |] "cli"
     [
+      ( "berkmin, out of range",
+        out_of_range berkmin [ "--heartbeat", "-5", [ unsat_cnf ] ] );
+      ( "fuzz, out of range",
+        out_of_range fuzz
+          [
+            "--rounds", "0", [];
+            "--max-vars", "3", [];
+            "--mutations", "-1", [];
+            (* one round keeps the run short were the value accepted *)
+            "--incremental-queries", "-2", [ "--rounds"; "1" ];
+          ] );
+      ( "serverd, out of range",
+        out_of_range serverd
+          [ "--max-sessions", "0", []; "--max-sessions", "-3", [] ] );
       "portfolio flags, one worker", rejected;
       ( "portfolio flags, two workers",
         [

@@ -2121,29 +2121,3 @@ let num_eliminated_vars s =
 let check_model cnf m = Cnf.satisfied_by cnf m
 
 let solve_cnf ?config ?budget cnf = solve ?budget (create ?config cnf)
-
-(* ------------------------------------------------------------------ *)
-(* Metrics view: pull-based gauges over the live solver, so sampling
-   costs nothing until somebody reads the registry.                    *)
-
-let metrics s =
-  let m = Metrics.create () in
-  let st = s.stats in
-  let gauge name f = ignore (Metrics.gauge m name f) in
-  let int_gauge name f = gauge name (fun () -> float_of_int (f ())) in
-  List.iter
-    (fun { Stats.name; read; _ } ->
-      match read with
-      | Stats.Int _ when name = "arena_bytes" ->
-        int_gauge name (fun () -> Arena.bytes s.arena)
-      | Stats.Int f -> int_gauge name (fun () -> f st)
-      | Stats.Seconds f -> gauge (name ^ "_seconds") (fun () -> f st))
-    Stats.counters;
-  int_gauge "binary_index_entries" (fun () -> Binary.num_entries s.binary);
-  int_gauge "arena_wasted_bytes" (fun () -> Arena.wasted_bytes s.arena);
-  int_gauge "learnt_live" (fun () -> Ivec.length s.learnt);
-  int_gauge "original_clauses" (fun () -> s.n_original);
-  int_gauge "decision_level" (fun () -> decision_level s);
-  int_gauge "old_activity_threshold" (fun () -> s.old_threshold);
-  int_gauge "trace_events" (fun () -> Trace.emitted s.tracer);
-  m

@@ -58,8 +58,8 @@ val load : ?config:Config.t -> Berkmin_dimacs.Dimacs.source -> t
     solver's own state is O(read chunk + largest clause), never
     O(file).  Parse+load wall time, literal counts and the final
     scratch size land in {!Stats.t} ([time_load], [load_clauses],
-    [load_literals], [load_scratch_words]), the metrics registry, and
-    a {!Trace.event.Load} event. *)
+    [load_literals], [load_scratch_words]) and a
+    {!Trace.event.Load} event. *)
 
 val load_string : ?config:Config.t -> string -> t
 (** {!load} over an in-memory DIMACS document. *)
@@ -138,15 +138,6 @@ val set_trace_sink : t -> Trace.sink -> unit
 
 val close_trace : t -> unit
 (** Closes a JSONL trace channel, if any, and disables tracing. *)
-
-val metrics : t -> Metrics.t
-(** A pull-based metrics registry over the live solver: one gauge per
-    {!Stats.counters} row (a [Seconds] row as [<name>_seconds], and
-    [arena_bytes] read live from the arena) plus live gauges (learnt
-    clauses in the database, current decision level, the growing
-    old-clause activity bar, trace events emitted).  Sampling reads the
-    solver's state at call time; the registry itself adds no cost to
-    the search. *)
 
 val num_vars : t -> int
 

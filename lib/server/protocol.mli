@@ -50,7 +50,7 @@ val request_to_json : request -> Json.t
 (** Re-encodes a request — the client side of the wire. *)
 
 val op_name : command -> string
-(** The ["op"] string of a command (for tracing and metrics). *)
+(** The ["op"] string of a command, as on the wire and in trace events. *)
 
 val lit_of_dimacs_checked : int -> (Lit.t, string) result
 (** Like {!Berkmin_types.Lit.of_dimacs} but returns [Error] on [0]

@@ -3,7 +3,6 @@ module Solver = Berkmin.Solver
 module Config = Berkmin.Config
 module Trace = Berkmin.Trace
 module Stats = Berkmin.Stats
-module Metrics = Berkmin.Metrics
 
 type session = {
   solver : Solver.t;
@@ -15,39 +14,16 @@ type t = {
   max_sessions : int;
   sessions : (string, session) Hashtbl.t;
   trace : Trace.t;
-  metrics : Metrics.t;
-  c_requests : Metrics.counter;
-  c_errors : Metrics.counter;
-  c_solves : Metrics.counter;
-  c_sat : Metrics.counter;
-  c_unsat : Metrics.counter;
-  c_unknown : Metrics.counter;
-  c_opened : Metrics.counter;
-  c_closed : Metrics.counter;
-  t_solve : Metrics.timer;
 }
 
 let create ?(config = Config.berkmin) ?(max_sessions = 64) () =
-  let metrics = Metrics.create () in
-  let sessions = Hashtbl.create 16 in
-  ignore
-    (Metrics.gauge metrics "server_sessions_live" (fun () ->
-         float_of_int (Hashtbl.length sessions)));
+  if max_sessions < 1 then
+    invalid_arg "Server.create: max_sessions must be at least 1";
   {
     config;
     max_sessions;
-    sessions;
+    sessions = Hashtbl.create 16;
     trace = Trace.create ();
-    metrics;
-    c_requests = Metrics.counter metrics "server_requests";
-    c_errors = Metrics.counter metrics "server_errors";
-    c_solves = Metrics.counter metrics "server_solves";
-    c_sat = Metrics.counter metrics "server_sat";
-    c_unsat = Metrics.counter metrics "server_unsat";
-    c_unknown = Metrics.counter metrics "server_unknown";
-    c_opened = Metrics.counter metrics "server_sessions_opened";
-    c_closed = Metrics.counter metrics "server_sessions_closed";
-    t_solve = Metrics.timer metrics "server_solve_cpu";
   }
 
 let num_sessions t = Hashtbl.length t.sessions
@@ -55,7 +31,6 @@ let num_sessions t = Hashtbl.length t.sessions
 let session_solver t name =
   Option.map (fun s -> s.solver) (Hashtbl.find_opt t.sessions name)
 
-let metrics t = t.metrics
 let trace t = t.trace
 
 let close t =
@@ -130,7 +105,6 @@ let service t (req : Protocol.request) =
           Solver.create ~config:t.config (Cnf.create ~num_vars:vars ())
         in
         Hashtbl.replace t.sessions name { solver; requests = 1 };
-        Metrics.incr t.c_opened;
         okay [ "session", Json.String name; "vars", Json.Int vars ]
       end)
   | New_var { count } ->
@@ -164,21 +138,15 @@ let service t (req : Protocol.request) =
         go 0 clauses)
   | Solve { assumps; max_conflicts; max_ms } ->
     with_session t req.session (fun sess ->
-        Metrics.incr t.c_solves;
         let budget = budget_of max_conflicts max_ms in
-        match
-          Metrics.time t.t_solve (fun () ->
-              Solver.solve ~budget ~assumps sess.solver)
-        with
+        match Solver.solve ~budget ~assumps sess.solver with
         | Solver.Sat m ->
-          Metrics.incr t.c_sat;
           okay ~status:"sat"
             [
               "status", Json.String "sat";
               "model", model_to_json sess.solver m;
             ]
         | Solver.Unsat ->
-          Metrics.incr t.c_unsat;
           let core =
             match Solver.unsat_core sess.solver with
             | Some core -> [ "core", core_to_json core ]
@@ -186,7 +154,6 @@ let service t (req : Protocol.request) =
           in
           okay ~status:"unsat" (("status", Json.String "unsat") :: core)
         | Solver.Unknown ->
-          Metrics.incr t.c_unknown;
           okay ~status:"unknown" [ "status", Json.String "unknown" ]
         | exception Invalid_argument msg -> fail msg)
   | Stats -> with_session t req.session (fun sess -> okay (stats_fields sess))
@@ -196,7 +163,6 @@ let service t (req : Protocol.request) =
     | Some name ->
       if Hashtbl.mem t.sessions name then begin
         Hashtbl.remove t.sessions name;
-        Metrics.incr t.c_closed;
         okay [ "closed", Json.String name ]
       end
       else fail (Printf.sprintf "unknown session %S" name))
@@ -209,7 +175,6 @@ let counters_of solver =
   | None -> (0, 0)
 
 let handle t json =
-  Metrics.incr t.c_requests;
   let started = Unix.gettimeofday () in
   let id = Json.member "id" json in
   let parsed = Protocol.parse json in
@@ -233,9 +198,7 @@ let handle t json =
   let response =
     match outcome.failure with
     | None -> Protocol.ok ?id outcome.response
-    | Some msg ->
-      Metrics.incr t.c_errors;
-      Protocol.error ?id msg
+    | Some msg -> Protocol.error ?id msg
   in
   if Trace.active t.trace then begin
     let solver =
@@ -266,8 +229,6 @@ let handle_line t line =
     let response, continue = handle t json in
     (Json.to_string response, continue)
   | exception Json.Parse_error msg ->
-    Metrics.incr t.c_requests;
-    Metrics.incr t.c_errors;
     if Trace.active t.trace then
       Trace.emit t.trace
         (Trace.Server_request

@@ -19,10 +19,11 @@
     interleaving.
 
     Per-request observability rides the existing plumbing: every
-    serviced request emits a {!Berkmin.Trace.Server_request} event
-    (latency, conflict and propagation deltas) on the server's trace
-    stream, and {!metrics} exposes aggregate counters through the
-    standard pull-based registry. *)
+    request, a malformed line included, emits one
+    {!Berkmin.Trace.Server_request} event (op, status, latency,
+    conflict and propagation deltas) on the server's trace stream.
+    Aggregate counts (requests, errors, solves by verdict) are sums
+    over those events. *)
 
 open Berkmin_types
 
@@ -33,7 +34,8 @@ val create :
 (** A server with no sessions.  [config] seeds every session's solver
     (default {!Berkmin.Config.berkmin}); [max_sessions] (default 64)
     bounds resident solvers — further [open]s are refused, not
-    evicted. *)
+    evicted.
+    @raise Invalid_argument if [max_sessions] is below 1. *)
 
 val handle : t -> Json.t -> Json.t * [ `Continue | `Shutdown ]
 (** Services one request: returns the response to send back and
@@ -49,9 +51,6 @@ val num_sessions : t -> int
 val session_solver : t -> string -> Berkmin.Solver.t option
 (** Direct access to a resident solver (tests and in-process
     embedders). *)
-
-val metrics : t -> Berkmin.Metrics.t
-(** Aggregate request/session counters plus a live session gauge. *)
 
 val trace : t -> Berkmin.Trace.t
 (** The server's trace stream ([Null] sink by default); install a sink

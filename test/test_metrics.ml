@@ -1,9 +1,8 @@
-(* Tests for the observability layer: the Json emitter/parser, the
-   Metrics registry, Stats JSON round-trips, and the Trace event
-   stream (callback and JSONL sinks) on a small pigeonhole solve. *)
+(* Tests for the observability layer: the Json emitter/parser, Stats
+   JSON round-trips, and the Trace event stream (callback and JSONL
+   sinks) on a small pigeonhole solve. *)
 
 open Berkmin_types
-module Metrics = Berkmin.Metrics
 module Trace = Berkmin.Trace
 module Config = Berkmin.Config
 module Solver = Berkmin.Solver
@@ -83,77 +82,6 @@ let test_json_errors () =
     bad
 
 (* ------------------------------------------------------------------ *)
-(* Metrics registry                                                    *)
-
-let test_counters () =
-  let m = Metrics.create () in
-  let c = Metrics.counter m "conflicts" in
-  check Alcotest.int "starts at 0" 0 (Metrics.value c);
-  Metrics.incr c;
-  Metrics.add c 10;
-  check Alcotest.int "incr+add" 11 (Metrics.value c);
-  (* same name, same kind: the existing handle comes back *)
-  let c' = Metrics.counter m "conflicts" in
-  Metrics.incr c';
-  check Alcotest.int "shared handle" 12 (Metrics.value c);
-  check Alcotest.string "name" "conflicts" (Metrics.counter_name c);
-  (* same name, different kind: refused *)
-  Alcotest.check_raises "cross-kind clash"
-    (Metrics.Duplicate_name "conflicts") (fun () ->
-      ignore (Metrics.gauge m "conflicts" (fun () -> 0.0)))
-
-let test_timers () =
-  let now = ref 0.0 in
-  let clock () = !now in
-  let m = Metrics.create () in
-  let t = Metrics.timer ~clock m "bcp" in
-  Metrics.start t;
-  now := 1.5;
-  Metrics.stop t;
-  check (Alcotest.float 1e-9) "one span" 1.5 (Metrics.total t);
-  check Alcotest.int "one sample" 1 (Metrics.samples t);
-  (* stop without start is a no-op *)
-  Metrics.stop t;
-  check Alcotest.int "no phantom sample" 1 (Metrics.samples t);
-  (* time wraps a thunk and is exception-safe *)
-  let r = Metrics.time t (fun () -> now := 2.0; 42) in
-  check Alcotest.int "thunk result" 42 r;
-  check (Alcotest.float 1e-9) "accumulated" 2.0 (Metrics.total t);
-  (match Metrics.time t (fun () -> now := 3.0; failwith "boom") with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "exception swallowed");
-  check Alcotest.int "span closed on raise" 3 (Metrics.samples t);
-  check (Alcotest.float 1e-9) "raise span counted" 3.0 (Metrics.total t)
-
-let test_registry_snapshot () =
-  let now = ref 0.0 in
-  let m = Metrics.create () in
-  let c = Metrics.counter m "props" in
-  let _g = Metrics.gauge m "live" (fun () -> 7.0) in
-  let t = Metrics.timer ~clock:(fun () -> !now) m "analyze" in
-  Metrics.add c 3;
-  Metrics.start t;
-  now := 0.5;
-  Metrics.stop t;
-  check
-    Alcotest.(list (pair string (float 1e-9)))
-    "registration order"
-    [ "props", 3.0; "live", 7.0; "analyze_seconds", 0.5 ]
-    (Metrics.snapshot m);
-  (* to_json carries the same data, grouped by kind *)
-  let j = Metrics.to_json m in
-  let counters = Option.get (Json.member "counters" j) in
-  check Alcotest.(option int) "json counter" (Some 3)
-    (Option.bind (Json.member "props" counters) Json.to_int_opt);
-  let timers = Option.get (Json.member "timers" j) in
-  let analyze = Option.get (Json.member "analyze" timers) in
-  check Alcotest.(option int) "json samples" (Some 1)
-    (Option.bind (Json.member "samples" analyze) Json.to_int_opt);
-  Metrics.reset m;
-  check Alcotest.int "reset counter" 0 (Metrics.value c);
-  check (Alcotest.float 0.0) "reset timer" 0.0 (Metrics.total t)
-
-(* ------------------------------------------------------------------ *)
 (* Stats JSON                                                          *)
 
 let solve_hole ?(config = Config.berkmin) n =
@@ -183,6 +111,34 @@ let test_stats_to_json_roundtrip () =
   match Json.member "skin" j with
   | Some (Json.List (_ :: _)) -> ()
   | _ -> Alcotest.fail "skin missing or empty"
+
+(* --profile only reads the clock: every count is the same with the
+   timers on, and the three timer rows stay in the JSON either way. *)
+let test_profile_timers () =
+  let profiled, r1 =
+    solve_hole ~config:{ Config.berkmin with profile_timers = true } 6
+  in
+  let plain, r2 = solve_hole 6 in
+  check Alcotest.bool "both unsat" true
+    (r1 = Solver.Unsat && r2 = Solver.Unsat);
+  let on = Solver.stats profiled and off = Solver.stats plain in
+  List.iter
+    (fun { Stats.name; read; _ } ->
+      match read with
+      | Stats.Int f -> check Alcotest.int name (f off) (f on)
+      | Stats.Seconds _ -> ())
+    Stats.counters;
+  let timer st name =
+    match Json.member name (Stats.to_json st) with
+    | Some (Json.Float x) -> x
+    | _ -> Alcotest.failf "%s missing from Stats.to_json" name
+  in
+  List.iter
+    (fun name ->
+      check (Alcotest.float 0.0) (name ^ " off") 0.0 (timer off name))
+    [ "time_bcp"; "time_analyze"; "time_reduce" ];
+  check Alcotest.bool "profiled run timed its BCP" true
+    (timer on "time_bcp" > 0.0)
 
 (* ------------------------------------------------------------------ *)
 (* Trace                                                               *)
@@ -281,24 +237,6 @@ let test_trace_heartbeat () =
       check Alcotest.bool "propagations monotone" true (propagations > 0))
     !beats
 
-let test_solver_metrics () =
-  let solver, _ =
-    solve_hole ~config:{ Config.berkmin with profile_timers = true } 6
-  in
-  let st = Solver.stats solver in
-  let snap = Solver.metrics solver |> Metrics.snapshot in
-  let get name = List.assoc name snap in
-  List.iter
-    (fun { Stats.name; read; _ } ->
-      let gauge, value =
-        match read with
-        | Stats.Int f -> (name, float_of_int (f st))
-        | Stats.Seconds f -> (name ^ "_seconds", f st)
-      in
-      check (Alcotest.float 0.0) (gauge ^ " gauge") value (get gauge))
-    Stats.counters;
-  check (Alcotest.float 0.0) "no trace events" 0.0 (get "trace_events")
-
 (* The Statistics table of docs/OBSERVABILITY.md as (field, meaning)
    pairs: the rows between its heading and the end of the table. *)
 let stats_doc_rows () =
@@ -362,16 +300,12 @@ let () =
           Alcotest.test_case "accessors" `Quick test_json_accessors;
           Alcotest.test_case "errors" `Quick test_json_errors;
         ] );
-      ( "registry",
-        [
-          Alcotest.test_case "counters" `Quick test_counters;
-          Alcotest.test_case "timers" `Quick test_timers;
-          Alcotest.test_case "snapshot" `Quick test_registry_snapshot;
-        ] );
       ( "stats",
         [
           Alcotest.test_case "to_json roundtrip" `Quick
             test_stats_to_json_roundtrip;
+          Alcotest.test_case "profile timers leave the search alone" `Quick
+            test_profile_timers;
           Alcotest.test_case "select unknown name" `Quick
             test_stats_select_unknown;
           Alcotest.test_case "docs table" `Quick test_stats_docs_table;
@@ -381,6 +315,5 @@ let () =
           Alcotest.test_case "callback sink" `Quick test_trace_callback_sink;
           Alcotest.test_case "jsonl sink" `Quick test_trace_jsonl_sink;
           Alcotest.test_case "heartbeat" `Quick test_trace_heartbeat;
-          Alcotest.test_case "solver metrics" `Quick test_solver_metrics;
         ] );
     ]

@@ -1,13 +1,12 @@
 (* Server-layer tests: protocol parsing, in-process request servicing,
-   session lifecycle, per-request budgets, trace/metrics plumbing, and
-   a forked end-to-end socket round-trip with concurrent clients. *)
+   session lifecycle, per-request budgets, per-request trace events,
+   and a forked end-to-end socket round-trip with concurrent clients. *)
 
 open Berkmin_types
 module Protocol = Berkmin_server.Protocol
 module Server = Berkmin_server.Server
 module Client = Berkmin_server.Client
 module Trace = Berkmin.Trace
-module Metrics = Berkmin.Metrics
 
 let check = Alcotest.check
 
@@ -141,6 +140,16 @@ let test_errors_and_echo () =
     (handle_ok tiny (obj [ "op", str "open"; "session", str "two" ]))
     "session limit"
 
+(* A cap below one session would refuse every open: refused up front. *)
+let test_session_cap_below_one () =
+  List.iter
+    (fun max_sessions ->
+      Alcotest.check_raises
+        (Printf.sprintf "max_sessions %d" max_sessions)
+        (Invalid_argument "Server.create: max_sessions must be at least 1")
+        (fun () -> ignore (Server.create ~max_sessions ())))
+    [ 0; -3 ]
+
 (* Session "h" holding php 7 6, sent through the wire: hard enough
    that a few conflicts cannot solve it. *)
 let open_php_session server =
@@ -222,11 +231,21 @@ let test_negative_time_budget () =
     "\"max_ms\" must be non-negative";
   check Alcotest.int "no conflicts spent" before (session_conflicts server)
 
-let test_trace_and_metrics () =
-  let server = Server.create () in
+(* The op:status of each server_request event the server emitted. *)
+let traced_requests server =
   let events = ref [] in
   Trace.set_sink (Server.trace server)
     (Trace.Callback (fun e -> events := e :: !events));
+  fun () ->
+    List.rev_map
+      (function
+        | Trace.Server_request { op; status; _ } -> op ^ ":" ^ status
+        | _ -> "other")
+      !events
+
+let test_trace () =
+  let server = Server.create () in
+  let requests = traced_requests server in
   assert_ok
     (handle_ok server (obj [ "op", str "open"; "session", str "t"; "vars", int 1 ]));
   assert_ok
@@ -238,25 +257,23 @@ let test_trace_and_metrics () =
           ]));
   ignore (handle_ok server (obj [ "op", str "solve"; "session", str "t" ]));
   ignore (handle_ok server (obj [ "op", str "nope" ]));
-  let ops =
-    List.rev_map
-      (function
-        | Trace.Server_request { op; status; _ } -> op ^ ":" ^ status
-        | _ -> "other")
-      !events
-  in
   check
     (Alcotest.list Alcotest.string)
     "one event per request, statuses included"
     [ "open:ok"; "add_clause:ok"; "solve:sat"; "invalid:error" ]
-    ops;
-  let m = Server.metrics server in
-  check Alcotest.int "requests counted" 4
-    (Metrics.value (Metrics.counter m "server_requests"));
-  check Alcotest.int "errors counted" 1
-    (Metrics.value (Metrics.counter m "server_errors"));
-  check Alcotest.int "solves counted" 1
-    (Metrics.value (Metrics.counter m "server_solves"))
+    (requests ())
+
+(* A line that is not JSON at all still gets an error reply and its
+   one trace event. *)
+let test_malformed_line () =
+  let server = Server.create () in
+  let requests = traced_requests server in
+  let line, continue = Server.handle_line server "not json" in
+  check Alcotest.bool "keeps serving" true (continue = `Continue);
+  assert_error (Json.of_string line) "malformed JSON";
+  check
+    (Alcotest.list Alcotest.string)
+    "one event" [ "invalid:error" ] (requests ())
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end socket round-trip                                        *)
@@ -343,14 +360,18 @@ let () =
         [
           Alcotest.test_case "lifecycle" `Quick test_session_lifecycle;
           Alcotest.test_case "errors and id echo" `Quick test_errors_and_echo;
+          Alcotest.test_case "session cap below one" `Quick
+            test_session_cap_below_one;
           Alcotest.test_case "budget exhaustion" `Quick test_budget_exhaustion;
           Alcotest.test_case "budget is exact" `Quick test_budget_is_exact;
           Alcotest.test_case "negative time budget" `Quick
             test_negative_time_budget;
         ] );
       ( "observability",
-        [ Alcotest.test_case "trace and metrics" `Quick test_trace_and_metrics ]
-      );
+        [
+          Alcotest.test_case "trace" `Quick test_trace;
+          Alcotest.test_case "malformed line" `Quick test_malformed_line;
+        ] );
       ( "socket",
         [
           Alcotest.test_case "concurrent clients" `Quick
