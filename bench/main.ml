@@ -1122,16 +1122,6 @@ let options_of = function
   | Parallel _ | Ec_incremental -> [ "--json" ]
   | Bigfile _ -> [ "--json"; "--timeout" ]
 
-let write_json path json =
-  let text = Json.to_string_pretty json ^ "\n" in
-  if path = "-" then print_string text
-  else begin
-    let oc = open_out path in
-    output_string oc text;
-    close_out oc;
-    Printf.printf "json summary written to %s\n" path
-  end
-
 (* [gate check path] runs a baseline gate when its baseline was given. *)
 let gate check path (json, ok) =
   match path with
@@ -1143,22 +1133,27 @@ let gate check path (json, ok) =
 let run mode ~quick ~extensions ~only ~json_out ~baseline ~perf_baseline
     ~timeout =
   let json, ok =
-    match mode with
-    | List_tables ->
-      List.iter print_endline Experiments.names;
-      (Json.Null, true)
-    | Tables -> run_tables ~quick ~extensions ~only
-    | Smoke ->
-      run_smoke ()
-      |> gate perf_gate perf_baseline
-      |> gate verdict_gate baseline
-    | Ablation -> run_ablation () |> gate perf_gate perf_baseline
-    | Parallel workers -> run_parallel ~workers
-    | Ec_incremental -> run_ec_incremental ~width:16
-    | Bigfile path ->
-      run_bigfile ~path ~timeout:(Option.value timeout ~default:60.0)
+    try
+      match mode with
+      | List_tables ->
+        List.iter print_endline Experiments.names;
+        (Json.Null, true)
+      | Tables -> run_tables ~quick ~extensions ~only
+      | Smoke ->
+        run_smoke ()
+        |> gate perf_gate perf_baseline
+        |> gate verdict_gate baseline
+      | Ablation -> run_ablation () |> gate perf_gate perf_baseline
+      | Parallel workers -> run_parallel ~workers
+      | Ec_incremental -> run_ec_incremental ~width:16
+      | Bigfile path ->
+        run_bigfile ~path ~timeout:(Option.value timeout ~default:60.0)
+    with Sys_error msg ->
+      (* an unreadable baseline or an unwritable --bigfile path *)
+      prerr_endline msg;
+      exit 2
   in
-  Option.iter (fun path -> write_json path json) json_out;
+  Option.iter (fun path -> Flags.write_json path json) json_out;
   if ok then 0 else 1
 
 let main quick extensions only list_names smoke ablation workers json_out
@@ -1198,7 +1193,6 @@ let main quick extensions only list_names smoke ablation workers json_out
   | _ :: _ :: _, _, _ ->
     error "choose one mode, not %s" (String.concat " and " (List.map fst chosen))
   | _, o :: _, _ -> error "%s does not apply to %s" o flag
-  | _, _, Parallel n when n < 1 -> error "--workers must be at least 1 (got %d)" n
   | _, _, Tables when unknown <> [] ->
     error "unknown experiment(s): %s (try --list)" (String.concat ", " unknown)
   | _, _, Tables when only <> [] && extensions ->
@@ -1260,7 +1254,7 @@ let ablation =
 let workers =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (Flags.count ~min:1)) None
     & info [ "workers" ] ~docv:"N"
         ~doc:
           "Run the parallel suite: each instance solved sequentially and \
@@ -1316,17 +1310,9 @@ let ec_incremental =
            \"ec_incremental\".")
 
 let timeout =
-  let non_negative =
-    Arg.conv
-      ( (fun s ->
-          match float_of_string_opt s with
-          | Some x when x >= 0.0 -> Ok x
-          | Some _ | None -> Error (`Msg "expected a non-negative number")),
-        Format.pp_print_float )
-  in
   Arg.(
     value
-    & opt (some non_negative) None
+    & opt (some Flags.seconds) None
     & info [ "timeout" ] ~docv:"SECONDS"
         ~doc:"Wall-clock budget of the --bigfile solve phase (default 60).")
 

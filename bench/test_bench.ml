@@ -1,5 +1,6 @@
-(* Tests for bench/main.exe: a run selects exactly one mode, and each
-   baseline gate fails when the run drifts from the committed summary.
+(* Tests for bench/main.exe: a run selects exactly one mode, an output
+   path that cannot be written exits 2, and each baseline gate fails
+   when the run drifts from the committed summary.
    The bench executable and the committed BENCH_baseline.json come in
    as the two command-line arguments. *)
 
@@ -77,6 +78,15 @@ let test_two_modes_are_a_usage_error () =
   Alcotest.(check bool) "names both modes" true
     (contains text "--smoke and --ablation")
 
+(* A --bigfile path in a missing directory cannot be written: an I/O
+   error, exit 2. *)
+let test_unwritable_bigfile () =
+  let tmp = Filename.get_temp_dir_name () in
+  let path = Filename.concat tmp "berkmin-no-such-dir/big.cnf" in
+  let code, text = run_bench [ "--bigfile"; path ] in
+  Alcotest.(check int) "exit status" 2 code;
+  Alcotest.(check bool) "names the path" true (contains text path)
+
 let flip_a_verdict row =
   match Json.member "verdict" row with
   | Some (Json.String "SAT") -> Some (set "verdict" (Json.String "UNSAT") row)
@@ -97,6 +107,8 @@ let () =
         [
           Alcotest.test_case "two modes are a usage error" `Quick
             test_two_modes_are_a_usage_error;
+          Alcotest.test_case "unwritable --bigfile path exits 2" `Quick
+            test_unwritable_bigfile;
         ] );
       ( "gates",
         [

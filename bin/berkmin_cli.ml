@@ -3,7 +3,8 @@
 
    Exit codes follow the SAT-solver convention: 10 = SATISFIABLE,
    20 = UNSATISFIABLE, 0 = UNKNOWN, 1 = failed --check (bad model or
-   invalid proof), 2 = usage/input error. *)
+   invalid proof), 2 = unreadable or malformed input or an unwritable
+   output path, 124 = command-line error. *)
 
 open Berkmin_types
 module Drup = Berkmin_proof.Drup
@@ -97,127 +98,105 @@ let run_portfolio ~race ~workers ~diversify ~config ~file ~stats_flag ~check
     ~seconds winner_stats p.Portfolio.result;
   answer ~check cnf p.Portfolio.result
 
-let run file strategy max_conflicts max_seconds proof_file stats_flag check
-    seed quiet json_out trace_file heartbeat profile workers diversify
-    worker_timeout share share_max_len share_max_glue simplify simplify_growth
-    ccmin phase_saving restarts reduce =
-  match Berkmin.Config.preset strategy with
-  | Error msg ->
-    prerr_endline msg;
-    2
-  | Ok config -> (
+(* Flags that exclude each other are usage errors, like a malformed
+   value: the race's own settings mean nothing to a sequential solve,
+   and DRUP logging follows one solver's derivation, not a race. *)
+let run file config simplify_growth budget proof_file stats_flag check seed
+    quiet json_out trace_file heartbeat profile workers diversify
+    worker_timeout share share_max_len share_max_glue =
+  let portfolio_only =
+    List.filter_map
+      (fun (flag, given) -> if given then Some flag else None)
+      [
+        "--portfolio-diversify", diversify <> None;
+        "--worker-timeout", worker_timeout <> None;
+        "--share", share <> None;
+        "--share-max-len", share_max_len <> None;
+        "--share-max-glue", share_max_glue <> None;
+      ]
+  in
+  if workers > 1 && proof_file <> None then
+    `Error
+      ( true,
+        "--proof needs a single worker: DRUP logging follows one solver's \
+         derivation, not a race (drop --proof or use --workers 1)" )
+  else if workers = 1 && portfolio_only <> [] then
+    `Error
+      ( true,
+        String.concat ", " portfolio_only
+        ^ ": portfolio only, needs --workers > 1" )
+  else
     let config =
       {
         config with
-        seed = Option.value seed ~default:config.seed;
+        Berkmin.Config.simplify_growth;
+        seed = Option.value seed ~default:config.Berkmin.Config.seed;
         trace_jsonl = trace_file;
         heartbeat_interval = heartbeat;
         profile_timers = profile;
       }
     in
-    if workers < 1 then begin
-      Printf.eprintf "--workers must be at least 1 (got %d)\n" workers;
-      exit 2
-    end;
-    if workers > 1 && proof_file <> None then begin
-      Printf.eprintf
-        "--proof needs a single worker: DRUP logging follows one solver's \
-         derivation, not a race (drop --proof or use --workers 1)\n";
-      exit 2
-    end;
-    (* The race's own settings mean nothing to a sequential solve, so
-       naming one there is a mistake rather than a no-op. *)
-    let portfolio_only =
-      List.filter_map
-        (fun (flag, given) -> if given then Some flag else None)
-        [
-          "--portfolio-diversify", diversify <> None;
-          "--worker-timeout", worker_timeout <> None;
-          "--share", share <> None;
-          "--share-max-len", share_max_len <> None;
-          "--share-max-glue", share_max_glue <> None;
-        ]
-    in
-    if workers = 1 && portfolio_only <> [] then begin
-      Printf.eprintf "%s: portfolio only, needs --workers > 1\n"
-        (String.concat ", " portfolio_only);
-      exit 2
-    end;
-    let below_one = Option.fold ~none:false ~some:(fun n -> n < 1) in
-    if below_one share_max_len || below_one share_max_glue then begin
-      Printf.eprintf "--share-max-len and --share-max-glue must be >= 1\n";
-      exit 2
-    end;
-    let config =
-      match
-        Berkmin.Config.with_overrides ~simplify ~simplify_growth ?ccmin
-          ?phase_saving ?restarts ?reduce config
-      with
-      | Ok config -> config
-      | Error msg ->
-        prerr_endline msg;
-        exit 2
-    in
-    let budget = { Berkmin.Solver.max_conflicts; max_seconds } in
-    match Berkmin_dimacs.Dimacs.parse_file file with
-    | exception Sys_error msg ->
-      Printf.eprintf "cannot read %s: %s\n" file msg;
-      2
-    | exception Berkmin_dimacs.Dimacs.Parse_error { line; message } ->
-      Printf.eprintf "%s:%d: %s\n" file line message;
-      2
-    | cnf when workers > 1 -> (
-      if not quiet then
-        Format.printf "c strategy %a@." Berkmin.Config.pp config;
-      let race =
-        Portfolio.solve_config ~budget ~workers ?diversify
-          ?wall_timeout:worker_timeout ?share ?share_max_len ?share_max_glue
-          config
-      in
-      try
-        run_portfolio ~race ~workers ~diversify ~config ~file ~stats_flag
-          ~check ~quiet ~json_out cnf
-      with Sys_error msg ->
-        Printf.eprintf "berkmin: %s\n" msg;
-        2)
-    | cnf ->
-    try
-      let solver = Berkmin.Solver.create ~config cnf in
-      let proof =
-        match proof_file with
-        | None -> None
-        | Some path ->
-          let p = Drup.create () in
-          Berkmin.Solver.set_proof_logger solver (Drup.record p);
-          Some (path, p)
-      in
-      let started = Sys.time () in
-      let result = Berkmin.Solver.solve ~budget solver in
-      let seconds = Sys.time () -. started in
-      Berkmin.Solver.close_trace solver;
-      if not quiet then
-        Format.printf "c strategy %a@." Berkmin.Config.pp config;
-      report ~file ~config ~quiet ~stats_flag ~json_out ~seconds
-        (Some (Berkmin.Solver.stats solver))
-        result;
-      (match result, proof with
-      | Berkmin.Solver.Unsat, Some (path, p) ->
-        Drup.write_file path p;
-        if not quiet then Printf.printf "c proof written to %s\n" path;
-        if check then begin
-          match Drup.check cnf p with
-          | Drup.Valid -> print_endline "c proof checked: VALID"
-          | Drup.Invalid { step; reason; _ } ->
-            Printf.printf "c proof checked: INVALID at step %d (%s)\n" step
-              reason;
-            exit 1
-        end
-      | (Berkmin.Solver.Sat _ | Berkmin.Solver.Unknown), Some _ | _, None -> ());
-      answer ~check cnf result
-    with Sys_error msg ->
-      (* unwritable --trace / --json / --proof destinations *)
-      Printf.eprintf "berkmin: %s\n" msg;
-      2)
+    `Ok
+      (match Berkmin_dimacs.Dimacs.parse_file file with
+      | exception Sys_error msg ->
+        Printf.eprintf "cannot read %s: %s\n" file msg;
+        2
+      | exception Berkmin_dimacs.Dimacs.Parse_error { line; message } ->
+        Printf.eprintf "%s:%d: %s\n" file line message;
+        2
+      | cnf when workers > 1 -> (
+        if not quiet then
+          Format.printf "c strategy %a@." Berkmin.Config.pp config;
+        let race =
+          Portfolio.solve_config ~budget ~workers ?diversify
+            ?wall_timeout:worker_timeout ?share ?share_max_len ?share_max_glue
+            config
+        in
+        try
+          run_portfolio ~race ~workers ~diversify ~config ~file ~stats_flag
+            ~check ~quiet ~json_out cnf
+        with Sys_error msg ->
+          Printf.eprintf "berkmin: %s\n" msg;
+          2)
+      | cnf -> (
+        try
+          let solver = Berkmin.Solver.create ~config cnf in
+          let proof =
+            match proof_file with
+            | None -> None
+            | Some path ->
+              let p = Drup.create () in
+              Berkmin.Solver.set_proof_logger solver (Drup.record p);
+              Some (path, p)
+          in
+          let started = Sys.time () in
+          let result = Berkmin.Solver.solve ~budget solver in
+          let seconds = Sys.time () -. started in
+          Berkmin.Solver.close_trace solver;
+          if not quiet then
+            Format.printf "c strategy %a@." Berkmin.Config.pp config;
+          report ~file ~config ~quiet ~stats_flag ~json_out ~seconds
+            (Some (Berkmin.Solver.stats solver))
+            result;
+          (match result, proof with
+          | Berkmin.Solver.Unsat, Some (path, p) ->
+            Drup.write_file path p;
+            if not quiet then Printf.printf "c proof written to %s\n" path;
+            if check then begin
+              match Drup.check cnf p with
+              | Drup.Valid -> print_endline "c proof checked: VALID"
+              | Drup.Invalid { step; reason; _ } ->
+                Printf.printf "c proof checked: INVALID at step %d (%s)\n"
+                  step reason;
+                exit 1
+            end
+          | (Berkmin.Solver.Sat _ | Berkmin.Solver.Unknown), Some _ | _, None
+            -> ());
+          answer ~check cnf result
+        with Sys_error msg ->
+          (* unwritable --trace / --json / --proof destinations *)
+          Printf.eprintf "berkmin: %s\n" msg;
+          2))
 
 open Cmdliner
 
@@ -226,43 +205,6 @@ let file =
     required
     & pos 0 (some file) None
     & info [] ~docv:"FILE.cnf" ~doc:"DIMACS CNF input file.")
-
-let strategy =
-  Arg.(
-    value & opt string "berkmin"
-    & info [ "s"; "strategy" ] ~docv:"NAME"
-        ~doc:
-          "Solver configuration preset (berkmin, chaff, less_mobility, ...; \
-           see --help).")
-
-let non_negative_int =
-  Arg.conv
-    ( (fun s ->
-        match int_of_string_opt s with
-        | Some n when n >= 0 -> Ok n
-        | Some _ | None -> Error (`Msg "expected a non-negative integer")),
-      Format.pp_print_int )
-
-let max_conflicts =
-  Arg.(
-    value
-    & opt (some non_negative_int) None
-    & info [ "max-conflicts" ] ~docv:"N" ~doc:"Abort after N conflicts.")
-
-(* Seconds for a budget or a timeout: [x >= 0.] is false for NaN too. *)
-let non_negative_float =
-  Arg.conv
-    ( (fun s ->
-        match float_of_string_opt s with
-        | Some x when x >= 0.0 -> Ok x
-        | Some _ | None -> Error (`Msg "expected a non-negative number")),
-      Format.pp_print_float )
-
-let max_seconds =
-  Arg.(
-    value
-    & opt (some non_negative_float) None
-    & info [ "max-seconds" ] ~docv:"S" ~doc:"Abort after S CPU seconds.")
 
 let proof_file =
   Arg.(
@@ -310,7 +252,8 @@ let trace_file =
 
 let heartbeat =
   Arg.(
-    value & opt non_negative_int 0
+    value
+    & opt (Flags.count ~min:0) 0
     & info [ "heartbeat" ] ~docv:"N"
         ~doc:
           "Emit a heartbeat trace event every N conflicts (0 disables; \
@@ -326,7 +269,8 @@ let profile =
 
 let workers =
   Arg.(
-    value & opt int 1
+    value
+    & opt (Flags.count ~min:1) 1
     & info [ "workers" ] ~docv:"N"
         ~doc:
           "Race $(docv) diversified solver processes on the formula and \
@@ -347,7 +291,7 @@ let diversify =
 let worker_timeout =
   Arg.(
     value
-    & opt (some non_negative_float) None
+    & opt (some Flags.seconds) None
     & info [ "worker-timeout" ] ~docv:"S"
         ~doc:
           "Kill any portfolio worker still running after $(docv) wall \
@@ -370,7 +314,7 @@ let share =
 let share_max_len =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (Flags.count ~min:1)) None
     & info [ "share-max-len" ] ~docv:"K"
         ~doc:
           "Export only learnt clauses of at most $(docv) literals \
@@ -379,88 +323,32 @@ let share_max_len =
 let share_max_glue =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (Flags.count ~min:1)) None
     & info [ "share-max-glue" ] ~docv:"G"
         ~doc:
           "Export only learnt clauses whose learn-time glue (LBD: \
            distinct decision levels among the clause's literals) is at \
            most $(docv) (default 4).")
 
-let simplify =
-  Arg.(
-    value & opt string "off"
-    & info [ "simplify" ] ~docv:"MODE"
-        ~doc:
-          "Clause-database simplification: $(b,off) (default), $(b,pre) \
-           (one pass — subsumption, self-subsuming resolution, bounded \
-           variable elimination, failed-literal probing — before \
-           search) or $(b,inprocess) (the same pipeline again at every \
-           restart).  Eliminated variables are reconstructed into the \
-           printed model; with --proof every rewrite is logged, so the \
-           DRUP certificate stays checkable.  See docs/SIMPLIFY.md.")
-
 let simplify_growth =
   Arg.(
-    value & opt int 0
+    value
+    & opt (Flags.count ~min:0) 0
     & info [ "simplify-growth" ] ~docv:"N"
         ~doc:
           "Bounded variable elimination may grow the clause count by at \
            most $(docv) clauses per eliminated variable (default 0: \
            eliminate only when the database shrinks or stays even).")
 
-let ccmin =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "ccmin" ] ~docv:"MODE"
-        ~doc:
-          "Conflict-clause minimization: $(b,off), $(b,basic) \
-           (self-subsumption against the reason of each learnt literal) \
-           or $(b,deep) (recursive reason-chain redundancy).  Overrides \
-           the strategy preset.  See docs/STRATEGIES.md.")
-
-let phase_saving =
-  Arg.(
-    value
-    & opt (some bool) None
-    & info [ "phase-saving" ] ~docv:"BOOL"
-        ~doc:
-          "Remember each variable's last assigned polarity and reuse it \
-           on later decisions, overriding the configured polarity \
-           heuristic for previously-assigned variables.  Overrides the \
-           strategy preset.")
-
-let restarts =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "restarts" ] ~docv:"MODE"
-        ~doc:
-          "Restart schedule: $(b,fixed:N) (every $(b,N) conflicts, the \
-           paper's scheme), $(b,luby:N) (Luby sequence with unit \
-           $(b,N)) or $(b,none).  Overrides the strategy preset.")
-
-let reduce =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "reduce" ] ~docv:"MODE"
-        ~doc:
-          "Learnt-database reduction: $(b,berkmin) (the paper's \
-           aging/activity scheme), $(b,length:N), $(b,glue:N) (keep \
-           clauses with learn-time glue at most $(b,N), plus the \
-           youngest band) or $(b,keep-all).  Overrides the strategy \
-           preset.")
-
 let cmd =
   let doc = "BerkMin-style CDCL SAT solver" in
   Cmd.v
     (Cmd.info "berkmin" ~doc)
     Term.(
-      const run $ file $ strategy $ max_conflicts $ max_seconds $ proof_file
-      $ stats_flag $ check $ seed $ quiet $ json_out $ trace_file $ heartbeat
-      $ profile $ workers $ diversify $ worker_timeout $ share $ share_max_len
-      $ share_max_glue $ simplify $ simplify_growth $ ccmin $ phase_saving
-      $ restarts $ reduce)
+      ret
+        (const run $ file $ Flags.config $ simplify_growth $ Flags.budget
+       $ proof_file $ stats_flag $ check $ seed $ quiet $ json_out $ trace_file
+       $ heartbeat $ profile $ workers $ diversify $ worker_timeout $ share
+       $ share_max_len $ share_max_glue))
 
 let () = exit (Cmd.eval' cmd)

@@ -2,7 +2,8 @@
    own deployment domain (Cadence equivalence checking).
 
    Usage: ec a.blif b.blif
-   Exit codes: 0 equivalent, 1 inequivalent, 2 error/unknown.
+   Exit codes: 0 equivalent, 1 inequivalent, 2 unknown or an unreadable,
+   malformed or incompatible netlist, 124 usage error.
 
    Two flows share the miter construction:
    - one-shot (default): a single CNF with the ORed miter output
@@ -43,9 +44,9 @@ let report_counterexample miter mapping model file_a a file_b b =
           (if vb then 1 else 0))
     oa
 
-let run_incremental ?config ~budget miter probes verbose file_a a file_b b =
+let run_incremental ~config ~budget miter probes verbose file_a a file_b b =
   let mapping = T.encode miter in
-  let solver = Solver.create ?config mapping.T.cnf in
+  let solver = Solver.create ~config mapping.T.cnf in
   let rec probe = function
     | [] ->
       Printf.printf "EQUIVALENT (%d outputs probed, %d conflicts total)\n"
@@ -71,10 +72,10 @@ let run_incremental ?config ~budget miter probes verbose file_a a file_b b =
   in
   probe probes
 
-let run_oneshot ?config ~budget miter file_a a file_b b =
+let run_oneshot ~config ~budget miter file_a a file_b b =
   let mapping = T.encode miter in
   T.assert_output miter mapping "miter" true;
-  let solver = Solver.create ?config mapping.T.cnf in
+  let solver = Solver.create ~config mapping.T.cnf in
   match Solver.solve ~budget solver with
   | Solver.Unsat ->
     Printf.printf "EQUIVALENT (%d conflicts)\n"
@@ -87,31 +88,24 @@ let run_oneshot ?config ~budget miter file_a a file_b b =
     Printf.printf "UNKNOWN (budget exhausted)\n";
     2
 
-let run file_a file_b strategy max_conflicts max_seconds incremental verbose =
-  match Berkmin.Config.preset strategy with
-  | Error msg ->
-    Printf.eprintf "berkmin-ec: %s\ntry 'berkmin-ec --help' for usage\n" msg;
+let run file_a file_b config budget incremental verbose =
+  match load file_a, load file_b with
+  | Error e, _ | _, Error e ->
+    Printf.eprintf "berkmin-ec: %s\n" e;
     2
-  | Ok config -> (
-    let config = Some config in
-    match load file_a, load file_b with
-    | Error e, _ | _, Error e ->
-      Printf.eprintf "berkmin-ec: %s\n" e;
+  | Ok a, Ok b -> (
+    if verbose then begin
+      Format.printf "%s: %a@." file_a C.pp_stats a;
+      Format.printf "%s: %a@." file_b C.pp_stats b
+    end;
+    match M.build_probed a b with
+    | exception Invalid_argument msg ->
+      Printf.eprintf "incompatible interfaces: %s\n" msg;
       2
-    | Ok a, Ok b -> (
-      if verbose then begin
-        Format.printf "%s: %a@." file_a C.pp_stats a;
-        Format.printf "%s: %a@." file_b C.pp_stats b
-      end;
-      match M.build_probed a b with
-      | exception Invalid_argument msg ->
-        Printf.eprintf "incompatible interfaces: %s\n" msg;
-        2
-      | miter, probes ->
-        let budget = { Solver.max_conflicts; max_seconds } in
-        if incremental then
-          run_incremental ?config ~budget miter probes verbose file_a a file_b b
-        else run_oneshot ?config ~budget miter file_a a file_b b))
+    | miter, probes ->
+      if incremental then
+        run_incremental ~config ~budget miter probes verbose file_a a file_b b
+      else run_oneshot ~config ~budget miter file_a a file_b b)
 
 open Cmdliner
 
@@ -121,46 +115,15 @@ let file_a =
 let file_b =
   Arg.(required & pos 1 (some file) None & info [] ~docv:"B.blif")
 
-let strategy =
-  Arg.(
-    value & opt string "berkmin"
-    & info [ "s"; "strategy" ] ~docv:"NAME" ~doc:"Solver preset.")
-
-let max_conflicts =
-  let non_negative =
-    Arg.conv
-      ( (fun s ->
-          match int_of_string_opt s with
-          | Some n when n >= 0 -> Ok n
-          | Some _ | None -> Error (`Msg "expected a non-negative integer")),
-        Format.pp_print_int )
-  in
-  Arg.(
-    value & opt (some non_negative) None
-    & info [ "max-conflicts" ] ~docv:"N"
-        ~doc:"Abort after N conflicts (per probe with --incremental).")
-
-let max_seconds =
-  let non_negative =
-    Arg.conv
-      ( (fun s ->
-          match float_of_string_opt s with
-          | Some x when x >= 0.0 -> Ok x
-          | Some _ | None -> Error (`Msg "expected a non-negative number")),
-        Format.pp_print_float )
-  in
-  Arg.(
-    value & opt (some non_negative) None
-    & info [ "max-seconds" ] ~docv:"S"
-        ~doc:"Abort after S CPU seconds (per probe with --incremental).")
-
 let incremental =
   Arg.(
     value & flag
     & info [ "i"; "incremental" ]
         ~doc:
           "Probe each output separately under assumptions on one \
-           resident solver instead of solving the ORed miter once.")
+           resident solver instead of solving the ORed miter once; each \
+           probe is one solve call with its own --max-conflicts and \
+           --max-seconds budget.")
 
 let verbose =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print netlist and per-probe stats.")
@@ -170,7 +133,7 @@ let cmd =
   Cmd.v
     (Cmd.info "berkmin-ec" ~doc)
     Term.(
-      const run $ file_a $ file_b $ strategy $ max_conflicts $ max_seconds
-      $ incremental $ verbose)
+      const run $ file_a $ file_b $ Flags.strategy $ Flags.budget $ incremental
+      $ verbose)
 
 let () = exit (Cmd.eval' cmd)

@@ -8,19 +8,8 @@
    pure function of the flags — two runs with the same seed are
    bit-identical — so CI can both gate on it and reproduce from it. *)
 
-open Berkmin_types
 module Runner = Berkmin_fuzz.Runner
 module Dimacs = Berkmin_dimacs.Dimacs
-
-let write_json path json =
-  let text = Json.to_string_pretty json ^ "\n" in
-  if path = "-" then print_string text
-  else begin
-    let oc = open_out path in
-    output_string oc text;
-    close_out oc;
-    Printf.printf "json report written to %s\n" path
-  end
 
 let write_artifacts ~prefix ~seed ce =
   let base = Printf.sprintf "%s_s%d_r%d" prefix seed ce.Runner.round in
@@ -36,10 +25,6 @@ let write_artifacts ~prefix ~seed ce =
 
 let run seed rounds max_vars max_mutations shrink incremental_queries
     portfolio_workers simplify strategies json_out prefix =
-  if portfolio_workers = 1 || portfolio_workers < 0 then begin
-    Printf.eprintf "--portfolio wants 0 (off) or a worker count >= 2\n";
-    exit 2
-  end;
   let simplify_lanes =
     (* With --simplify (the default), a preprocessing and an
        inprocessing lane join the pool as first-class oracle
@@ -100,21 +85,11 @@ let run seed rounds max_vars max_mutations shrink incremental_queries
     seed rounds report.Runner.sat report.Runner.unsat report.Runner.undecided
     report.Runner.mutations_applied disagreements;
   Option.iter
-    (fun path -> write_json path (Runner.report_to_json report))
+    (fun path -> Flags.write_json path (Runner.report_to_json report))
     json_out;
   if disagreements = 0 then 0 else 1
 
 open Cmdliner
-
-(* A count below [lo] is a usage error, like a malformed number. *)
-let int_at_least lo =
-  Arg.conv
-    ( (fun s ->
-        match int_of_string_opt s with
-        | Some n when n >= lo -> Ok n
-        | Some _ | None ->
-          Error (`Msg (Printf.sprintf "expected an integer >= %d" lo))),
-      Format.pp_print_int )
 
 let seed =
   Arg.(
@@ -127,19 +102,19 @@ let seed =
 
 let rounds =
   Arg.(
-    value & opt (int_at_least 1) 200
+    value & opt (Flags.count ~min:1) 200
     & info [ "rounds" ] ~docv:"N"
         ~doc:"Number of fuzzing rounds to run (at least 1).")
 
 let max_vars =
   Arg.(
-    value & opt (int_at_least 4) 30
+    value & opt (Flags.count ~min:4) 30
     & info [ "max-vars" ] ~docv:"N"
         ~doc:"Variable cap for generated cases (at least 4).")
 
 let max_mutations =
   Arg.(
-    value & opt (int_at_least 0) 4
+    value & opt (Flags.count ~min:0) 4
     & info [ "mutations" ] ~docv:"N"
         ~doc:"Each round applies 0..$(docv) structured mutations.")
 
@@ -154,7 +129,7 @@ let shrink =
 let incremental_queries =
   Arg.(
     value
-    & opt (int_at_least 0) Runner.default.Runner.incremental_queries
+    & opt (Flags.count ~min:0) Runner.default.Runner.incremental_queries
     & info
         [ "incremental-queries" ]
         ~docv:"N"
@@ -166,8 +141,16 @@ let incremental_queries =
            the other oracles.")
 
 let portfolio_workers =
+  let off_or_race =
+    Arg.conv
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n = 0 || n >= 2 -> Ok n
+          | Some _ | None -> Flags.invalid s "0 or an integer >= 2"),
+        Format.pp_print_int )
+  in
   Arg.(
-    value & opt int 0
+    value & opt off_or_race 0
     & info [ "portfolio" ] ~docv:"N"
         ~doc:
           "Add two portfolio lanes of $(docv) workers each — one with \

@@ -3,8 +3,6 @@
 
 open Berkmin_gen
 
-let usage_hint = "try 'berkmin-genbench --list' for the class names"
-
 let sanitize name =
   String.map (function '/' | ' ' -> '_' | c -> c) name
 
@@ -21,7 +19,7 @@ let mkdir_if_missing dir =
 let run out_dir class_names list_flag =
   if list_flag then begin
     List.iter (fun (name, _) -> print_endline name) (Suites.all ());
-    0
+    `Ok 0
   end
   else
     let unknown =
@@ -32,33 +30,32 @@ let run out_dir class_names list_flag =
           | exception Not_found -> true)
         class_names
     in
-    if unknown <> [] then begin
-      Printf.eprintf "berkmin-genbench: unknown class%s %s; known: %s\n%s\n"
-        (if List.length unknown > 1 then "es" else "")
-        (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
-        (String.concat ", " (List.map fst (Suites.all ())))
-        usage_hint;
-      2
-    end
-    else begin
+    if unknown <> [] then
+      `Error
+        ( true,
+          Printf.sprintf "unknown class%s %s; known: %s"
+            (if List.length unknown > 1 then "es" else "")
+            (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
+            (String.concat ", " (List.map fst (Suites.all ()))) )
+    else
       let classes =
         match class_names with
         | [] -> Suites.all ()
         | names -> List.map (fun name -> (name, Suites.find_class name)) names
       in
-      try
-        mkdir_if_missing out_dir;
-        List.iter
-          (fun (name, instances) ->
-            let dir = Filename.concat out_dir (sanitize name) in
-            mkdir_if_missing dir;
-            List.iter (write_instance dir) instances)
-          classes;
-        0
-      with Sys_error msg ->
-        Printf.eprintf "berkmin-genbench: %s\n" msg;
-        2
-    end
+      `Ok
+        (try
+           mkdir_if_missing out_dir;
+           List.iter
+             (fun (name, instances) ->
+               let dir = Filename.concat out_dir (sanitize name) in
+               mkdir_if_missing dir;
+               List.iter (write_instance dir) instances)
+             classes;
+           0
+         with Sys_error msg ->
+           Printf.eprintf "berkmin-genbench: %s\n" msg;
+           2)
 
 open Cmdliner
 
@@ -80,6 +77,6 @@ let cmd =
   let doc = "Generate the BerkMin reproduction benchmark suites as DIMACS" in
   Cmd.v
     (Cmd.info "berkmin-genbench" ~doc)
-    Term.(const run $ out_dir $ class_names $ list_flag)
+    Term.(ret (const run $ out_dir $ class_names $ list_flag))
 
 let () = exit (Cmd.eval' cmd)

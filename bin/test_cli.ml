@@ -1,7 +1,10 @@
-(* Tests for the flag checks of the berkmin, berkmin-fuzz and
-   berkmin-serverd executables.  The built binaries come in as the
-   command-line arguments, in that order; berkmin runs on a tiny UNSAT
-   formula this file writes itself. *)
+(* The exit-code matrix of the berkmin, berkmin-fuzz, berkmin-serverd,
+   berkmin-ec and berkmin-genbench executables: a malformed or
+   out-of-range value, an unknown name or two flags that exclude each
+   other exit 124 and name the flag, and an output path that cannot be
+   written exits 2.  The built binaries come in as the command-line
+   arguments, in that order; berkmin runs on a tiny UNSAT formula and
+   berkmin-ec on a one-gate netlist that this file writes itself. *)
 
 let absolute p =
   if Filename.is_relative p then Filename.concat (Sys.getcwd ()) p else p
@@ -9,13 +12,19 @@ let absolute p =
 let berkmin = absolute Sys.argv.(1)
 let fuzz = absolute Sys.argv.(2)
 let serverd = absolute Sys.argv.(3)
+let ec = absolute Sys.argv.(4)
+let genbench = absolute Sys.argv.(5)
 
-let unsat_cnf =
-  let path = Filename.temp_file "unsat" ".cnf" in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc "p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n");
+let temp_file suffix text =
+  let path = Filename.temp_file "cli" suffix in
+  Out_channel.with_open_text path (fun oc -> output_string oc text);
   at_exit (fun () -> Sys.remove path);
   path
+
+let unsat_cnf = temp_file ".cnf" "p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n"
+
+let buffer_blif =
+  temp_file ".blif" ".model buf\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n"
 
 (* Runs [exe] with [args] and stdin at end of file, so a daemon that
    starts serves nothing and exits; returns the exit code and stdout
@@ -47,7 +56,7 @@ let contains text sub =
    error that names the flag and --workers. *)
 let test_portfolio_flag_needs_workers (flag, value) () =
   let code, text = run_berkmin [ flag; value ] in
-  Alcotest.(check int) "exit code" 2 code;
+  Alcotest.(check int) "exit code" 124 code;
   if not (contains text flag && contains text "--workers") then
     Alcotest.failf "message does not name %s and --workers:\n%s" flag text
 
@@ -57,20 +66,55 @@ let test_portfolio_flag_with_workers () =
   if not (contains text "s UNSATISFIABLE") then
     Alcotest.failf "no UNSAT answer:\n%s" text
 
-(* An out-of-range count is a usage error that names the flag. *)
-let test_out_of_range exe args flag () =
+(* Overrides compose over the chosen preset, and the strategy line
+   shows both. *)
+let test_overrides_over_preset () =
+  let code, text =
+    run berkmin
+      [
+        unsat_cnf; "--strategy"; "chaff"; "--simplify"; "pre";
+        "--simplify-growth"; "2";
+      ]
+  in
+  Alcotest.(check int) "exit code" 20 code;
+  if not (contains text "{chaff:" && contains text "simplify=pre") then
+    Alcotest.failf "strategy line lacks the preset or the override:\n%s" text
+
+(* A usage error exits 124 with a message that names the flag. *)
+let test_usage_error exe args flag () =
   let code, text = run exe args in
   Alcotest.(check int) "exit code" 124 code;
   if not (contains text flag) then
     Alcotest.failf "message does not name %s:\n%s" flag text
+
+(* One case per [(args, flag)], named by [args]; [files] follow them on
+   the command line. *)
+let usage_errors ?(files = []) exe cases =
+  List.map
+    (fun (args, flag) ->
+      Alcotest.test_case (String.concat " " args) `Quick
+        (test_usage_error exe (args @ files) flag))
+    cases
 
 (* One case per [(flag, value, other args)], named [flag=value]. *)
 let out_of_range exe cases =
   List.map
     (fun (flag, value, rest) ->
       let arg = flag ^ "=" ^ value in
-      Alcotest.test_case arg `Quick (test_out_of_range exe (arg :: rest) flag))
+      Alcotest.test_case arg `Quick (test_usage_error exe (arg :: rest) flag))
     cases
+
+(* An output path that cannot be written is an I/O error: exit 2 with
+   a message that names the path. *)
+let unwritable =
+  Filename.concat (Filename.get_temp_dir_name ()) "berkmin-no-such-dir/out"
+
+let test_unwritable exe args () =
+  let code, text = run exe args in
+  Alcotest.(check int) "exit code" 2 code;
+  if not (contains text unwritable) then
+    Alcotest.failf "message does not name the path:\n%s" text
+
 
 let () =
   let rejected =
@@ -101,6 +145,51 @@ let () =
       ( "serverd, out of range",
         out_of_range serverd
           [ "--max-sessions", "0", []; "--max-sessions", "-3", [] ] );
+      ( "berkmin, usage error",
+        usage_errors berkmin ~files:[ unsat_cnf ]
+          [
+            [ "--workers"; "0" ], "--workers";
+            [ "--workers=-3" ], "--workers";
+            [ "--share-max-len"; "0"; "--workers"; "2" ], "--share-max-len";
+            [ "--share-max-glue=0"; "--workers"; "2" ], "--share-max-glue";
+            [ "--strategy"; "nosuch" ], "--strategy";
+            [ "--ccmin"; "x" ], "--ccmin";
+            [ "--restarts"; "luby:0" ], "--restarts";
+            (* a separate -1 would read as an unknown option *)
+            [ "--simplify-growth=-1" ], "--simplify-growth";
+            [ "--workers"; "2"; "--proof"; "P" ], "--proof";
+          ] );
+      ( "fuzz, usage error",
+        usage_errors fuzz
+          [
+            [ "--portfolio"; "1" ], "--portfolio";
+            [ "--portfolio=-2" ], "--portfolio";
+          ] );
+      ( "serverd, usage error",
+        usage_errors serverd
+          [
+            [ "--strategy"; "nosuch" ], "--strategy";
+            [ "--ccmin"; "x" ], "--ccmin";
+            [ "--socket"; "P"; "--stdio" ], "--socket";
+          ] );
+      ( "ec, usage error",
+        usage_errors ec ~files:[ buffer_blif; buffer_blif ]
+          [ [ "--strategy"; "nosuch" ], "--strategy" ] );
+      "genbench, usage error", usage_errors genbench [ [ "nosuch" ], "nosuch" ];
+      ( "unwritable output",
+        List.map
+          (fun (name, exe, args) ->
+            Alcotest.test_case name `Quick (test_unwritable exe args))
+          [
+            "berkmin --json", berkmin, [ unsat_cnf; "--json"; unwritable ];
+            "fuzz --json", fuzz, [ "--rounds"; "1"; "--json"; unwritable ];
+            "serverd --trace", serverd, [ "--trace"; unwritable ];
+          ] );
+      ( "berkmin, overrides",
+        [
+          Alcotest.test_case "--strategy chaff --simplify pre" `Quick
+            test_overrides_over_preset;
+        ] );
       "portfolio flags, one worker", rejected;
       ( "portfolio flags, two workers",
         [

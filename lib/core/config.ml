@@ -145,10 +145,6 @@ let modern = {
   reduction_mode = Glue_lbd 3;
 }
 
-let with_simplify_growth n t =
-  if n < 0 then invalid_arg "Config.with_simplify_growth: need >= 0";
-  { t with simplify_growth = n }
-
 let simplify_mode_to_string = function
   | Simp_off -> "off"
   | Simp_pre -> "pre"
@@ -223,45 +219,6 @@ let reduction_mode_of_string s =
       match positive_suffix s "glue" with
       | Some n -> Some (Glue_lbd n)
       | None -> None))
-
-let with_overrides ?simplify ?simplify_growth ?ccmin ?phase_saving ?restarts
-    ?reduce t =
-  let ( let* ) = Result.bind in
-  let mode flag wants of_string = function
-    | None -> Ok None
-    | Some s -> (
-      match of_string s with
-      | Some m -> Ok (Some m)
-      | None -> Error (Printf.sprintf "--%s wants %s (got %S)" flag wants s))
-  in
-  let* simplify =
-    mode "simplify" "off, pre or inprocess" simplify_mode_of_string simplify
-  in
-  let* t =
-    match simplify_growth with
-    | Some n when n < 0 ->
-      Error (Printf.sprintf "--simplify-growth must be >= 0 (got %d)" n)
-    | Some n -> Ok (with_simplify_growth n t)
-    | None -> Ok t
-  in
-  let* ccmin = mode "ccmin" "off, basic or deep" ccmin_mode_of_string ccmin in
-  let* restarts =
-    mode "restarts" "fixed:N, luby:N or none" restart_mode_of_string restarts
-  in
-  let* reduce =
-    mode "reduce" "berkmin, length:N, glue:N or keep-all"
-      reduction_mode_of_string reduce
-  in
-  let value o default = Option.value o ~default in
-  Ok
-    {
-      t with
-      simplify = value simplify t.simplify;
-      ccmin_mode = value ccmin t.ccmin_mode;
-      phase_saving = value phase_saving t.phase_saving;
-      restart_mode = value restarts t.restart_mode;
-      reduction_mode = value reduce t.reduction_mode;
-    }
 
 let presets = [
   "berkmin", berkmin;

@@ -188,10 +188,6 @@ val modern : t
     phase saving, Luby restarts (unit 64) and glue(LBD)-driven database
     reduction (glue <= 3 kept).  See docs/STRATEGIES.md. *)
 
-val with_simplify_growth : int -> t -> t
-(** Set the variable-elimination growth cap.
-    @raise Invalid_argument when negative. *)
-
 val simplify_mode_to_string : simplify_mode -> string
 (** ["off"], ["pre"] or ["inprocess"] — the CLI flag vocabulary. *)
 
@@ -216,24 +212,6 @@ val reduction_mode_of_string : string -> reduction_mode option
 (** Accepts ["berkmin"], ["length:N"], ["glue:N"] (bare ["glue"] means
     glue <= 3) and ["keep-all"]. *)
 
-val with_overrides :
-  ?simplify:string ->
-  ?simplify_growth:int ->
-  ?ccmin:string ->
-  ?phase_saving:bool ->
-  ?restarts:string ->
-  ?reduce:string ->
-  t ->
-  (t, string) result
-(** The strategy and simplify flags the command-line front ends share
-    ([--simplify], [--simplify-growth], [--ccmin], [--phase-saving],
-    [--restarts], [--reduce]), applied over a preset: each value given
-    replaces the preset's, in the vocabulary of the [*_of_string]
-    functions above.  Flags are checked in that order; [Error msg]
-    describes the first bad one, e.g.
-    ["--ccmin wants off, basic or deep (got \"x\")"], for the caller to
-    print under its own program prefix. *)
-
 val name_of : t -> string
 (** The name of the preset [t] matches, else ["custom"].  The match
     ignores the observability and simplifier fields ([seed],
@@ -246,7 +224,6 @@ val presets : (string * t) list
 
 val preset : string -> (t, string) result
 (** The preset of this name, or [Error msg] listing the available
-    names (["unknown strategy \"x\"; available: berkmin, ..."]) for
-    the caller to print under its own program prefix. *)
+    names (["unknown strategy \"x\"; available: berkmin, ..."]). *)
 
 val pp : Format.formatter -> t -> unit

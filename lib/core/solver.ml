@@ -2118,6 +2118,4 @@ let num_eliminated_vars s =
   Array.iter (fun e -> if e then incr n) s.eliminated;
   !n
 
-let check_model cnf m = Cnf.satisfied_by cnf m
-
 let solve_cnf ?config ?budget cnf = solve ?budget (create ?config cnf)

@@ -267,8 +267,5 @@ val watch_invariant_violations : t -> string list
     literals of every variable are both unassigned or hold opposite
     values.  O(database size); for tests. *)
 
-val check_model : Cnf.t -> bool array -> bool
-(** [check_model cnf m] re-evaluates the formula under [m]. *)
-
 val solve_cnf : ?config:Config.t -> ?budget:budget -> Cnf.t -> result
 (** One-shot convenience wrapper. *)

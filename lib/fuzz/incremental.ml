@@ -29,7 +29,7 @@ let check ?(queries = 4) ~seed cnf =
     Solver.solve ~budget ~assumps (Solver.create (Cnf.copy base))
   in
   let check_model q assumps lane m =
-    if not (Solver.check_model base m) then
+    if not (Cnf.satisfied_by base m) then
       fail q assumps "%s model does not satisfy the formula" lane
     else
       List.iter

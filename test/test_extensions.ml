@@ -284,7 +284,7 @@ let expect_sat cnf s =
   match Solver.solve s with
   | Solver.Sat m ->
     check Alcotest.bool "model satisfies the original" true
-      (Solver.check_model cnf m);
+      (Cnf.satisfied_by cnf m);
     m
   | r -> Alcotest.failf "expected SAT, got %s" (verdict_name r)
 

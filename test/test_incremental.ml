@@ -294,7 +294,7 @@ let test_differential_mini () =
       (match resident with
       | Solver.Sat m ->
         check Alcotest.bool "model satisfies formula" true
-          (Solver.check_model cnf m);
+          (Cnf.satisfied_by cnf m);
         List.iter
           (fun l ->
             check Alcotest.bool "model honours assumption" (Lit.is_pos l)

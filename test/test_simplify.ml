@@ -159,7 +159,7 @@ let test_solver_pre_sat_reconstructs () =
   (match Solver.solve s with
   | Solver.Sat m ->
     check Alcotest.bool "model satisfies the original clauses" true
-      (Solver.check_model cnf m)
+      (Cnf.satisfied_by cnf m)
   | r -> Alcotest.failf "expected SAT, got %s" (verdict_name r));
   check Alcotest.bool "simplify ran" true
     ((Solver.stats s).Berkmin.Stats.simplify_runs >= 1)
@@ -176,7 +176,7 @@ let test_solver_eliminates_vars () =
   let s = Solver.create ~config:pre cnf in
   (match Solver.solve s with
   | Solver.Sat m ->
-    check Alcotest.bool "model ok" true (Solver.check_model cnf m)
+    check Alcotest.bool "model ok" true (Cnf.satisfied_by cnf m)
   | r -> Alcotest.failf "expected SAT, got %s" (verdict_name r));
   check Alcotest.bool "some variable eliminated" true
     ((Solver.stats s).Berkmin.Stats.eliminated_vars > 0);
@@ -248,7 +248,7 @@ let test_solver_verdicts_agree () =
         match Solver.solve (Solver.create ~config cnf) with
         | Solver.Sat m ->
           check Alcotest.bool "base sat" true (is_sat base);
-          check Alcotest.bool "model checks" true (Solver.check_model cnf m)
+          check Alcotest.bool "model checks" true (Cnf.satisfied_by cnf m)
         | Solver.Unsat ->
           check Alcotest.bool "base unsat" true (is_unsat base)
         | Solver.Unknown -> Alcotest.fail "unbudgeted solve returned UNKNOWN")
@@ -358,7 +358,7 @@ let expect_sat cnf s =
   match Solver.solve s with
   | Solver.Sat m ->
     check Alcotest.bool "model satisfies the original" true
-      (Solver.check_model cnf m);
+      (Cnf.satisfied_by cnf m);
     m
   | r -> Alcotest.failf "expected SAT, got %s" (verdict_name r)
 

@@ -293,32 +293,80 @@ let test_strategy_lanes_campaign () =
     (List.length report.Fuzz.counterexamples)
 
 (* ------------------------------------------------------------------ *)
-(* Command-line overrides shared by berkmin_cli and berkmin-serverd.   *)
+(* The --strategy preset and its overrides, as the front ends parse     *)
+(* them (bin/flags.ml).                                                 *)
 
-let test_flag_overrides () =
-  (match
-     Config.with_overrides ~simplify:"pre" ~simplify_growth:3 ~ccmin:"deep"
-       ~phase_saving:true ~restarts:"luby:32" ~reduce:"glue:4" Config.berkmin
-   with
-  | Ok c ->
-    check Alcotest.bool "every flag applied" true
-      (c.Config.simplify = Config.Simp_pre
-      && c.Config.simplify_growth = 3
-      && c.Config.ccmin_mode = Config.Ccmin_deep
-      && c.Config.phase_saving
-      && c.Config.restart_mode = Config.Luby 32
-      && c.Config.reduction_mode = Config.Glue_lbd 4)
-  | Error msg -> Alcotest.fail msg);
-  check Alcotest.bool "no flag keeps the preset" true
-    (Config.with_overrides Config.modern = Ok Config.modern);
-  let error = function Ok _ -> "ok" | Error msg -> msg in
-  check Alcotest.string "first bad flag reported"
-    "--simplify-growth must be >= 0 (got -1)"
-    (error
-       (Config.with_overrides ~simplify_growth:(-1) ~ccmin:"x" Config.berkmin));
-  check Alcotest.string "mode vocabulary"
-    "--reduce wants berkmin, length:N, glue:N or keep-all (got \"glue:0\")"
-    (error (Config.with_overrides ~reduce:"glue:0" Config.berkmin))
+let parse_config args =
+  let quiet = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  match
+    Cmdliner.Cmd.eval_value ~help:quiet ~err:quiet
+      ~argv:(Array.of_list ("berkmin" :: args))
+      (Cmdliner.Cmd.v (Cmdliner.Cmd.info "berkmin") Flags.config)
+  with
+  | Ok (`Ok config) -> Ok config
+  | Ok (`Help | `Version) -> Alcotest.fail "help or version requested"
+  | Error e -> Error e
+
+let config_result =
+  Alcotest.testable
+    (fun fmt -> function
+      | Ok c -> Config.pp fmt c
+      | Error `Parse -> Format.pp_print_string fmt "parse error"
+      | Error (`Term | `Exn) -> Format.pp_print_string fmt "other error")
+    ( = )
+
+let test_flags_preset () =
+  check config_result "no flag" (Ok Config.berkmin) (parse_config []);
+  List.iter
+    (fun (name, preset) ->
+      check config_result name (Ok preset) (parse_config [ "-s"; name ]))
+    Config.presets
+
+let test_flags_each_override () =
+  List.iter
+    (fun (args, expected) ->
+      check config_result (String.concat " " args) (Ok expected)
+        (parse_config args))
+    [
+      [ "--simplify"; "pre" ], { Config.berkmin with simplify = Simp_pre };
+      ( [ "--ccmin"; "basic" ],
+        { Config.berkmin with ccmin_mode = Ccmin_basic } );
+      [ "--phase-saving"; "true" ], { Config.berkmin with phase_saving = true };
+      ( [ "--phase-saving"; "false"; "-s"; "modern" ],
+        { Config.modern with phase_saving = false } );
+      ( [ "--restarts"; "luby:32" ],
+        { Config.berkmin with restart_mode = Luby 32 } );
+      ( [ "--restarts"; "none" ],
+        { Config.berkmin with restart_mode = No_restarts } );
+      ( [ "--reduce"; "glue:4" ],
+        { Config.berkmin with reduction_mode = Glue_lbd 4 } );
+      ( [ "--reduce"; "keep-all"; "--strategy"; "chaff" ],
+        { Config.chaff with reduction_mode = Keep_all } );
+    ]
+
+let test_flags_modern () =
+  check config_result "four overrides over berkmin" (Ok Config.modern)
+    (parse_config
+       [
+         "--ccmin"; "deep"; "--phase-saving"; "true"; "--restarts"; "luby:64";
+         "--reduce"; "glue:3";
+       ])
+
+let test_flags_bad_values () =
+  List.iter
+    (fun args ->
+      check config_result (String.concat " " args) (Error `Parse)
+        (parse_config args))
+    [
+      [ "--strategy"; "nosuch" ];
+      [ "--simplify"; "sometimes" ];
+      [ "--ccmin"; "x" ];
+      [ "--phase-saving"; "maybe" ];
+      [ "--restarts"; "luby:0" ];
+      [ "--restarts"; "fixed:-5" ];
+      [ "--reduce"; "glue:0" ];
+      [ "--reduce"; "length" ];
+    ]
 
 let () =
   Alcotest.run "strategies"
@@ -352,8 +400,16 @@ let () =
             test_glue_reduction_classifies;
         ] );
       ( "flags",
-        [ Alcotest.test_case "overrides over a preset" `Quick test_flag_overrides ]
-      );
+        [
+          Alcotest.test_case "no override keeps the preset" `Quick
+            test_flags_preset;
+          Alcotest.test_case "each override sets its field" `Quick
+            test_flags_each_override;
+          Alcotest.test_case "modern overrides over berkmin" `Quick
+            test_flags_modern;
+          Alcotest.test_case "bad values are parse errors" `Quick
+            test_flags_bad_values;
+        ] );
       ( "differential",
         [
           qtest prop_strategies_preserve_verdicts;
