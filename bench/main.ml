@@ -1087,17 +1087,27 @@ let run_bigfile ~path ~timeout =
 (* ------------------------------------------------------------------ *)
 (* Paper tables: every experiment, or the [--only] ones, printed as
    paper-shaped text; the JSON summary is their machine-readable
-   twins. *)
+   twins.  A wrong answer fails the run; a clean run adds no line to
+   the report. *)
 
 let run_tables ~quick ~extensions ~only =
   let opts = if quick then Experiments.quick_opts else Experiments.default_opts in
-  Experiments.reset_json ();
-  (match only with
-  | [] ->
-    Experiments.run_all opts;
-    if extensions then Experiments.run_extensions opts
-  | names -> List.iter (fun n -> ignore (Experiments.run_one opts n)) names);
-  (Json.Obj [ "experiments", Json.Obj (Experiments.collected_json ()) ], true)
+  let names =
+    match only with
+    | [] -> if extensions then Experiments.names else Experiments.paper_names
+    | names -> names
+  in
+  let twins, wrong = Experiments.run opts names in
+  let describe (config, (o : Runner.outcome)) =
+    Printf.sprintf "%s on %s: %s, expected %s" (Config.name_of config)
+      o.instance_name
+      (Runner.verdict_to_string o.verdict)
+      (Instance.expected_to_string o.expected)
+  in
+  ( Json.Obj [ "experiments", Json.Obj twins ],
+    wrong = []
+    || report ~pass:"" ~fail:"paper tables: wrong answers"
+         (List.map describe wrong) )
 
 (* ------------------------------------------------------------------ *)
 (* Command line: pick the one mode, check every given option is one

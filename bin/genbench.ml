@@ -18,16 +18,13 @@ let mkdir_if_missing dir =
 
 let run out_dir class_names list_flag =
   if list_flag then begin
-    List.iter (fun (name, _) -> print_endline name) (Suites.all ());
+    List.iter print_endline Suites.class_names;
     `Ok 0
   end
   else
     let unknown =
       List.filter
-        (fun name ->
-          match Suites.find_class name with
-          | _ -> false
-          | exception Not_found -> true)
+        (fun name -> not (List.mem name Suites.class_names))
         class_names
     in
     if unknown <> [] then
@@ -36,7 +33,7 @@ let run out_dir class_names list_flag =
           Printf.sprintf "unknown class%s %s; known: %s"
             (if List.length unknown > 1 then "es" else "")
             (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
-            (String.concat ", " (List.map fst (Suites.all ()))) )
+            (String.concat ", " Suites.class_names) )
     else
       let classes =
         match class_names with

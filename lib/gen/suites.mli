@@ -5,18 +5,9 @@
     UltraSPARC); see DESIGN.md section 3 for the class-by-class
     substitution table.  Names match Table 1. *)
 
-val hole : unit -> Instance.t list
-val blocksworld : unit -> Instance.t list
-val par16 : unit -> Instance.t list
-val sss10 : unit -> Instance.t list
-val sss10a : unit -> Instance.t list
-val sss_sat10 : unit -> Instance.t list
-val fvp_unsat10 : unit -> Instance.t list
-val vliw_sat10 : unit -> Instance.t list
-val beijing : unit -> Instance.t list
-val hanoi : unit -> Instance.t list
-val miters : unit -> Instance.t list
-val fvp_unsat20 : unit -> Instance.t list
+val class_names : string list
+(** The twelve class names in Table 1's order; listing them builds no
+    formula. *)
 
 val all : unit -> (string * Instance.t list) list
 (** The twelve classes in Table 1's order. *)
@@ -35,4 +26,5 @@ val fuzz_seeds : max_vars:int -> Instance.t list
     used as mutation bases by the differential fuzzer ([lib/fuzz]). *)
 
 val find_class : string -> Instance.t list
-(** @raise Not_found for an unknown class name. *)
+(** The instances of one class, generating only that class.
+    @raise Not_found for an unknown class name. *)

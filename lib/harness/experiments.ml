@@ -9,19 +9,6 @@ type opts = {
   abort_penalty : float;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Machine-readable trail: every experiment records its data here as
-   it prints, so the bench harness can dump a JSON companion to the
-   plain-text report.                                                  *)
-
-let json_log : (string * Json.t) list ref = ref []
-
-let reset_json () = json_log := []
-
-let record_json name j = json_log := (name, j) :: !json_log
-
-let collected_json () = List.rev !json_log
-
 (* Budgets are sized so the full evaluation finishes in tens of
    minutes on one core: the reference solver's hardest solve
    (pipe3_w3, ~25 CPU s) fits comfortably, and each abort by a
@@ -40,109 +27,105 @@ let quick_opts = {
 }
 
 (* ------------------------------------------------------------------ *)
+(* The run set: every table solves through it, so each (configuration,
+   instance, budget) is solved once per [run] call and a column that
+   several tables share prints the same numbers in each.  An
+   instance's name identifies its formula across the suites.           *)
+
+type runs =
+  (Config.t * string * Berkmin.Solver.budget, Runner.outcome) Hashtbl.t
+
+let solve (runs : runs) ~budget config inst =
+  let key = (config, inst.Instance.name, budget) in
+  match Hashtbl.find_opt runs key with
+  | Some outcome -> outcome
+  | None ->
+    let outcome = Runner.run_instance ~budget config inst in
+    Hashtbl.add runs key outcome;
+    outcome
+
+let solve_class runs ~budget config (name, instances) =
+  Runner.class_of_outcomes name
+    (List.map (solve runs ~budget config) instances)
+
+let class_seconds opts (r : Runner.class_result) =
+  Table.seconds_aborted r.total_seconds r.aborted ~penalty:opts.abort_penalty
+
+(* ------------------------------------------------------------------ *)
 (* Shared sweep machinery: run several configurations over the twelve
    classes and print one column per configuration, as Tables 1/2/4/5
    do.                                                                  *)
 
-let check_no_wrong results =
-  List.iter
-    (fun (r : Runner.class_result) ->
-      if r.wrong > 0 then
-        Printf.printf
-          "WARNING: %d incorrect verdict(s) in class %s — investigate!\n"
-          r.wrong r.class_name)
-    results
-
-let class_sweep ~name opts configs =
+let class_sweep runs opts configs =
   let classes = Suites.all () in
   (* results.(i) = per-class results of configuration i, class order
      preserved. *)
   let results =
     List.map
       (fun (_, config) ->
-        List.map
-          (fun (name, instances) ->
-            Runner.run_class ~budget:opts.budget config name instances)
-          classes)
+        List.map (solve_class runs ~budget:opts.budget config) classes)
       configs
   in
-  List.iter check_no_wrong results;
   let rows =
     List.mapi
       (fun ci (class_name, _) ->
         class_name
         :: List.map
-             (fun per_class ->
-               let r = List.nth per_class ci in
-               Table.seconds_aborted r.Runner.total_seconds r.Runner.aborted
-                 ~penalty:opts.abort_penalty)
+             (fun per_class -> class_seconds opts (List.nth per_class ci))
              results)
       classes
   in
-  let totals =
-    "Total"
-    :: List.map
-         (fun per_class ->
-           let t =
-             List.fold_left
-               (fun acc (r : Runner.class_result) ->
-                 acc +. Runner.adjusted_seconds ~penalty:opts.abort_penalty r)
-               0.0 per_class
-           in
-           let aborts =
-             List.fold_left
-               (fun acc (r : Runner.class_result) -> acc + r.Runner.aborted)
-               0 per_class
-           in
-           if aborts = 0 then Table.seconds t
-           else Printf.sprintf "> %.2f (%d)" t aborts)
-         results
+  (* A configuration's total is one class holding all its outcomes. *)
+  let total per_class =
+    List.concat_map (fun (r : Runner.class_result) -> r.outcomes) per_class
+    |> Runner.class_of_outcomes "Total"
+    |> class_seconds opts
   in
+  let rows = rows @ [ "Total" :: List.map total results ] in
   let header = "Class" :: List.map fst configs in
-  Table.print ~header (rows @ [ totals ]);
-  record_json name
-    (Json.Obj
-       [
-         "table", Table.to_json ~header (rows @ [ totals ]);
-         ( "configs",
-           Json.List
-             (List.map2
-                (fun (config_name, _) per_class ->
-                  Json.Obj
-                    [
-                      "config", Json.String config_name;
-                      ( "classes",
-                        Json.List
-                          (List.map Runner.class_result_to_json per_class) );
-                    ])
-                configs results) );
-       ])
+  Table.print ~header rows;
+  Json.Obj
+    [
+      "table", Table.to_json ~header rows;
+      ( "configs",
+        Json.List
+          (List.map2
+             (fun (config_name, _) per_class ->
+               Json.Obj
+                 [
+                   "config", Json.String config_name;
+                   ( "classes",
+                     Json.List (List.map Runner.class_result_to_json per_class)
+                   );
+                 ])
+             configs results) );
+    ]
 
 (* ------------------------------------------------------------------ *)
 
-let table1 opts =
+let table1 runs opts =
   Table.section "Table 1 — Changing sensitivity of decision-making (seconds)";
   print_endline
     "Paper: BerkMin total 20,412 s vs Less_sensitivity 51,498 s; the gap\n\
      comes from the hard classes (Hanoi, Miters, Fvp_unsat2.0).";
-  class_sweep ~name:"table1" opts
+  class_sweep runs opts
     [ "BerkMin", Config.berkmin; "Less_sensitivity", Config.less_sensitivity ]
 
-let table2 opts =
+let table2 runs opts =
   Table.section "Table 2 — Changing mobility of decision-making (seconds)";
   print_endline
     "Paper: BerkMin total 20,412 s vs Less_mobility > 258,959 s with 3\n\
      aborts (Beijing x2, Fvp_unsat2.0); biggest single novelty.";
-  class_sweep ~name:"table2" opts
+  class_sweep runs opts
     [ "BerkMin", Config.berkmin; "Less_mobility", Config.less_mobility ]
 
-let table4 opts =
+let table4 runs opts =
   Table.section "Table 4 — Branch selection heuristics (seconds)";
   print_endline
     "Paper: BerkMin 20,412 s; Sat_top 36,153; Unsat_top > 155,393 (2);\n\
      Take_0 53,624; Take_1 > 213,808 (3); Take_rand 24,845.  Symmetrize\n\
      and Take_rand are the two good ones.";
-  class_sweep ~name:"table4" opts
+  class_sweep runs opts
     [
       "BerkMin", Config.berkmin;
       "Sat_top", Config.sat_top;
@@ -152,27 +135,26 @@ let table4 opts =
       "Take_rand", Config.take_random;
     ]
 
-let table5 opts =
+let table5 runs opts =
   Table.section "Table 5 — Clause database management (seconds)";
   print_endline
     "Paper: BerkMin 20,412 s vs Limited_keeping (GRASP-style, remove\n\
      length > 42) 57,881 s; factor >= 2 on Hanoi, Miters, Fvp_unsat2.0.";
-  class_sweep ~name:"table5" opts
+  class_sweep runs opts
     [ "BerkMin", Config.berkmin; "Limited_keeping", Config.limited_keeping ]
 
 (* ------------------------------------------------------------------ *)
 
-let table3 opts =
+let table3 runs opts =
   Table.section "Table 3 — Skin effect: f(r) by distance from stack top";
   print_endline
     "Paper: f(r) decreases steeply with r on all five hard instances\n\
      (f(0) is small because the topmost clause is consumed by BCP\n\
      immediately after being learnt).";
-  let instances = Suites.hard_instances () in
   let outcomes =
     List.map
-      (Runner.run_instance ~budget:opts.hard_budget Config.berkmin)
-      instances
+      (solve runs ~budget:opts.hard_budget Config.berkmin)
+      (Suites.hard_instances ())
   in
   let distances = [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 50; 100; 500; 1000; 2000 ] in
   let header =
@@ -188,147 +170,103 @@ let table3 opts =
       distances
   in
   Table.print ~header rows;
-  record_json "table3"
-    (Json.Obj
-       [
-         "table", Table.to_json ~header rows;
-         "instances", Json.List (List.map Runner.outcome_to_json outcomes);
-       ])
+  Json.Obj
+    [
+      "table", Table.to_json ~header rows;
+      "instances", Json.List (List.map Runner.outcome_to_json outcomes);
+    ]
 
 (* ------------------------------------------------------------------ *)
 
-let comparable_classes () =
-  List.filter
-    (fun (name, _) ->
-      List.mem name
-        [
-          "Blocksworld"; "Hole"; "Par16"; "Sss1.0"; "Sss1.0a"; "Sss_sat1.0";
-          "Fvp_unsat1.0"; "Vliw_sat1.0";
-        ])
-    (Suites.all ())
+(* Tables 6 and 7: zChaff against BerkMin on some of the classes, one
+   row per class; [cells] fills the columns after the class's name and
+   instance count. *)
+let versus_chaff runs ~budget ~columns ~cells class_names =
+  let results =
+    List.map
+      (fun name ->
+        let instances = Suites.find_class name in
+        let ch = solve_class runs ~budget Config.chaff (name, instances) in
+        let bm = solve_class runs ~budget Config.berkmin (name, instances) in
+        (ch, bm))
+      class_names
+  in
+  let rows =
+    List.map
+      (fun ((ch : Runner.class_result), bm) ->
+        ch.class_name :: string_of_int (List.length ch.outcomes) :: cells ch bm)
+      results
+  in
+  let header = "Class" :: "#inst" :: columns in
+  Table.print ~header rows;
+  Json.Obj
+    [
+      "table", Table.to_json ~header rows;
+      ( "classes",
+        Json.List
+          (List.map
+             (fun (ch, bm) ->
+               Json.Obj
+                 [
+                   "chaff", Runner.class_result_to_json ch;
+                   "berkmin", Runner.class_result_to_json bm;
+                 ])
+             results) );
+    ]
 
-let dominated_classes () =
-  List.filter
-    (fun (name, _) ->
-      List.mem name [ "Beijing"; "Miters"; "Hanoi"; "Fvp_unsat2.0" ])
-    (Suites.all ())
-
-let table6 opts =
+let table6 runs opts =
   Table.section "Table 6 — BerkMin vs Chaff: comparable classes (seconds)";
   print_endline
     "Paper: Chaff wins Hole (38 vs 339 s) and Fvp_unsat1.0; BerkMin wins\n\
      the rest; neither aborts anything.";
-  let classes = comparable_classes () in
-  let results =
-    List.map
-      (fun (name, instances) ->
-        let ch = Runner.run_class ~budget:opts.budget Config.chaff name instances in
-        let bm = Runner.run_class ~budget:opts.budget Config.berkmin name instances in
-        check_no_wrong [ ch; bm ];
-        (name, instances, ch, bm))
-      classes
-  in
-  let rows =
-    List.map
-      (fun (name, instances, (ch : Runner.class_result), bm) ->
-        [
-          name;
-          string_of_int (List.length instances);
-          Table.seconds_aborted ch.total_seconds ch.aborted
-            ~penalty:opts.abort_penalty;
-          Table.seconds_aborted bm.Runner.total_seconds bm.Runner.aborted
-            ~penalty:opts.abort_penalty;
-          (if ch.total_seconds < bm.Runner.total_seconds then "chaff"
-           else "berkmin");
-        ])
-      results
-  in
-  let header = [ "Class"; "#inst"; "zChaff"; "BerkMin"; "winner" ] in
-  Table.print ~header rows;
-  record_json "table6"
-    (Json.Obj
-       [
-         "table", Table.to_json ~header rows;
-         ( "classes",
-           Json.List
-             (List.map
-                (fun (_, _, ch, bm) ->
-                  Json.Obj
-                    [
-                      "chaff", Runner.class_result_to_json ch;
-                      "berkmin", Runner.class_result_to_json bm;
-                    ])
-                results) );
-       ])
+  versus_chaff runs ~budget:opts.budget
+    ~columns:[ "zChaff"; "BerkMin"; "winner" ]
+    ~cells:(fun ch bm ->
+      [
+        class_seconds opts ch;
+        class_seconds opts bm;
+        (if ch.total_seconds < bm.total_seconds then "chaff" else "berkmin");
+      ])
+    [
+      "Hole"; "Blocksworld"; "Par16"; "Sss1.0"; "Sss1.0a"; "Sss_sat1.0";
+      "Fvp_unsat1.0"; "Vliw_sat1.0";
+    ]
 
-let table7 opts =
+let table7 runs opts =
   Table.section "Table 7 — Classes where BerkMin dominates (seconds)";
   Printf.printf
     "Paper: Chaff aborts 2 of Beijing, 2 of Miters, 2 of Fvp-unsat2.0;\n\
      BerkMin aborts nothing.  Abort penalty here: %.0f s per abort.\n"
     opts.abort_penalty;
-  let classes = dominated_classes () in
-  let results =
-    List.map
-      (fun (name, instances) ->
-        let ch =
-          Runner.run_class ~budget:opts.hard_budget Config.chaff name instances
-        in
-        let bm =
-          Runner.run_class ~budget:opts.hard_budget Config.berkmin name instances
-        in
-        check_no_wrong [ ch; bm ];
-        (name, instances, ch, bm))
-      classes
-  in
-  let rows =
-    List.map
-      (fun (name, instances, (ch : Runner.class_result), bm) ->
-        [
-          name;
-          string_of_int (List.length instances);
-          Table.seconds_aborted ch.total_seconds ch.aborted
-            ~penalty:opts.abort_penalty;
-          string_of_int ch.aborted;
-          Table.seconds_aborted bm.Runner.total_seconds bm.Runner.aborted
-            ~penalty:opts.abort_penalty;
-          string_of_int bm.Runner.aborted;
-        ])
-      results
-  in
-  let header = [ "Class"; "#inst"; "zChaff"; "ab"; "BerkMin"; "ab" ] in
-  Table.print ~header rows;
-  record_json "table7"
-    (Json.Obj
-       [
-         "table", Table.to_json ~header rows;
-         ( "classes",
-           Json.List
-             (List.map
-                (fun (_, _, ch, bm) ->
-                  Json.Obj
-                    [
-                      "chaff", Runner.class_result_to_json ch;
-                      "berkmin", Runner.class_result_to_json bm;
-                    ])
-                results) );
-       ])
+  versus_chaff runs ~budget:opts.hard_budget
+    ~columns:[ "zChaff"; "ab"; "BerkMin"; "ab" ]
+    ~cells:(fun ch bm ->
+      [
+        class_seconds opts ch;
+        string_of_int ch.aborted;
+        class_seconds opts bm;
+        string_of_int bm.aborted;
+      ])
+    [ "Beijing"; "Hanoi"; "Miters"; "Fvp_unsat2.0" ]
 
-let table8 opts =
+(* Tables 8 and 9: zChaff and BerkMin on each hard instance. *)
+let hard_pairs runs opts =
+  List.map
+    (fun inst ->
+      let ch = solve runs ~budget:opts.hard_budget Config.chaff inst in
+      let bm = solve runs ~budget:opts.hard_budget Config.berkmin inst in
+      (inst, ch, bm))
+    (Suites.hard_instances ())
+
+let table8 runs opts =
   Table.section "Table 8 — Decisions and runtimes on hard instances";
   print_endline
     "Paper: BerkMin builds much smaller search trees (e.g. 4pipe 144k vs\n\
      467k decisions) and solves 7pipe where Chaff times out.";
-  let instances = Suites.hard_instances () in
-  let results =
-    List.map
-      (fun inst ->
-        let ch = Runner.run_instance ~budget:opts.hard_budget Config.chaff inst in
-        let bm =
-          Runner.run_instance ~budget:opts.hard_budget Config.berkmin inst
-        in
-        (inst, ch, bm))
-      instances
+  let results = hard_pairs runs opts in
+  let decisions (o : Runner.outcome) =
+    string_of_int o.stats.decisions
+    ^ if o.verdict = Runner.V_aborted then "*" else ""
   in
   let rows =
     List.map
@@ -336,11 +274,9 @@ let table8 opts =
         [
           inst.Instance.name;
           Instance.expected_to_string inst.Instance.expected;
-          string_of_int ch.Runner.stats.Stats.decisions
-          ^ (if ch.Runner.verdict = Runner.V_aborted then "*" else "");
+          decisions ch;
           Table.seconds ch.Runner.seconds;
-          string_of_int bm.Runner.stats.Stats.decisions
-          ^ (if bm.Runner.verdict = Runner.V_aborted then "*" else "");
+          decisions bm;
           Table.seconds bm.Runner.seconds;
         ])
       results
@@ -350,39 +286,28 @@ let table8 opts =
   in
   Table.print ~header rows;
   print_endline "(* = aborted at the budget)";
-  record_json "table8"
-    (Json.Obj
-       [
-         "table", Table.to_json ~header rows;
-         ( "instances",
-           Json.List
-             (List.map
-                (fun (_, ch, bm) ->
-                  Json.Obj
-                    [
-                      "chaff", Runner.outcome_to_json ch;
-                      "berkmin", Runner.outcome_to_json bm;
-                    ])
-                results) );
-       ])
+  Json.Obj
+    [
+      "table", Table.to_json ~header rows;
+      ( "instances",
+        Json.List
+          (List.map
+             (fun (_, ch, bm) ->
+               Json.Obj
+                 [
+                   "chaff", Runner.outcome_to_json ch;
+                   "berkmin", Runner.outcome_to_json bm;
+                 ])
+             results) );
+    ]
 
-let table9 opts =
+let table9 runs opts =
   Table.section "Table 9 — Database size relative to the initial CNF";
   print_endline
     "Paper: BerkMin's (generated)/(initial) ratio is well below Chaff's\n\
      (e.g. hanoi6: 19.6 vs 93.3) and its peak live database stays within\n\
      ~1-4x of the initial CNF.";
-  let instances = Suites.hard_instances () in
-  let results =
-    List.map
-      (fun inst ->
-        let ch = Runner.run_instance ~budget:opts.hard_budget Config.chaff inst in
-        let bm =
-          Runner.run_instance ~budget:opts.hard_budget Config.berkmin inst
-        in
-        (inst, ch, bm))
-      instances
-  in
+  let results = hard_pairs runs opts in
   let gen_ratio (o : Runner.outcome) =
     Stats.db_ratio o.stats ~initial:o.initial_clauses
   in
@@ -404,27 +329,26 @@ let table9 opts =
     [ "Instance"; "zChaff gen/init"; "BerkMin gen/init"; "BerkMin peak/init" ]
   in
   Table.print ~header rows;
-  record_json "table9"
-    (Json.Obj
-       [
-         "table", Table.to_json ~header rows;
-         ( "instances",
-           Json.List
-             (List.map
-                (fun (inst, ch, bm) ->
-                  Json.Obj
-                    [
-                      "instance", Json.String inst.Instance.name;
-                      "chaff_gen_ratio", Json.Float (gen_ratio ch);
-                      "berkmin_gen_ratio", Json.Float (gen_ratio bm);
-                      "berkmin_peak_ratio", Json.Float (peak_ratio bm);
-                      "chaff", Runner.outcome_to_json ch;
-                      "berkmin", Runner.outcome_to_json bm;
-                    ])
-                results) );
-       ])
+  Json.Obj
+    [
+      "table", Table.to_json ~header rows;
+      ( "instances",
+        Json.List
+          (List.map
+             (fun (inst, ch, bm) ->
+               Json.Obj
+                 [
+                   "instance", Json.String inst.Instance.name;
+                   "chaff_gen_ratio", Json.Float (gen_ratio ch);
+                   "berkmin_gen_ratio", Json.Float (gen_ratio bm);
+                   "berkmin_peak_ratio", Json.Float (peak_ratio bm);
+                   "chaff", Runner.outcome_to_json ch;
+                   "berkmin", Runner.outcome_to_json bm;
+                 ])
+             results) );
+    ]
 
-let table10 opts =
+let table10 runs opts =
   Table.section "Table 10 — Competition-style robustness (hard set)";
   print_endline
     "Paper: of the SAT-2002 final 31 instances BerkMin solves 15 (5 sat),\n\
@@ -451,9 +375,7 @@ let table10 opts =
   let outcomes =
     List.map
       (fun (name, config) ->
-        ( name,
-          List.map (Runner.run_instance ~budget:opts.hard_budget config) instances
-        ))
+        (name, List.map (solve runs ~budget:opts.hard_budget config) instances))
       configs
   in
   let rows =
@@ -470,9 +392,8 @@ let table10 opts =
              outcomes)
       instances
   in
-  Table.print
-    ~header:("Instance" :: "sat?" :: List.map fst configs)
-    rows;
+  let header = "Instance" :: "sat?" :: List.map fst configs in
+  Table.print ~header rows;
   let solved (_, outs) =
     List.length (List.filter (fun o -> o.Runner.verdict <> Runner.V_aborted) outs)
   in
@@ -485,30 +406,28 @@ let table10 opts =
       Printf.printf "%s: solved %d (satisfiable %d)\n" name (solved entry)
         (solved_sat entry))
     outcomes;
-  record_json "table10"
-    (Json.Obj
-       [
-         ( "table",
-           Table.to_json ~header:("Instance" :: "sat?" :: List.map fst configs)
-             rows );
-         ( "solvers",
-           Json.List
-             (List.map
-                (fun ((name, outs) as entry) ->
-                  Json.Obj
-                    [
-                      "solver", Json.String name;
-                      "solved", Json.Int (solved entry);
-                      "solved_sat", Json.Int (solved_sat entry);
-                      ( "instances",
-                        Json.List (List.map Runner.outcome_to_json outs) );
-                    ])
-                outcomes) );
-       ])
+  Json.Obj
+    [
+      "table", Table.to_json ~header rows;
+      ( "solvers",
+        Json.List
+          (List.map
+             (fun ((name, outs) as entry) ->
+               Json.Obj
+                 [
+                   "solver", Json.String name;
+                   "solved", Json.Int (solved entry);
+                   "solved_sat", Json.Int (solved_sat entry);
+                   ( "instances",
+                     Json.List (List.map Runner.outcome_to_json outs) );
+                 ])
+             outcomes) );
+    ]
 
 (* ------------------------------------------------------------------ *)
 
-let figure1 opts =
+(* Figure 1 solves outside the run set: it needs the decision hook. *)
+let figure1 _runs opts =
   Table.section "Figure 1 — Cone mobility: decisions entering a gated cone";
   print_endline
     "Paper Fig. 1: a cone of logic feeding an AND gate is idle while the\n\
@@ -552,13 +471,12 @@ let figure1 opts =
   Printf.printf
     "(windows of %d decisions; '-' = run finished before that window)\n" window;
   let pcts ws = Json.List (List.map (fun p -> Json.Float p) ws) in
-  record_json "figure1"
-    (Json.Obj
-       [
-         "window_decisions", Json.Int window;
-         "berkmin_cone_pct", pcts bm;
-         "less_mobility_cone_pct", pcts lm;
-       ])
+  Json.Obj
+    [
+      "window_decisions", Json.Int window;
+      "berkmin_cone_pct", pcts bm;
+      "less_mobility_cone_pct", pcts lm;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Extension ablations: design choices DESIGN.md calls out plus the
@@ -566,9 +484,9 @@ let figure1 opts =
    conclusion's note on restart strategies) and one post-2002 feature
    (learnt-clause minimization).                                       *)
 
-let ext_restarts opts =
+let ext_restarts runs opts =
   Table.section "Ablation — restart strategy (paper conclusions: \"very primitive ... can be significantly improved\")";
-  class_sweep ~name:"ext-restarts" opts
+  class_sweep runs opts
     [
       "Fixed 100", { Config.berkmin with Config.restart_mode = Config.Fixed 100 };
       "Fixed 550 (paper)", Config.berkmin;
@@ -577,12 +495,12 @@ let ext_restarts opts =
       "None", { Config.berkmin with Config.restart_mode = Config.No_restarts };
     ]
 
-let ext_window opts =
+let ext_window runs opts =
   Table.section "Ablation — decision window over top clauses (Remark 2)";
   print_endline
     "Paper: \"whether this heuristic can be relaxed and a broader set of\n\
      top clauses be examined\" — left as future work; this runs it.";
-  class_sweep ~name:"ext-window" opts
+  class_sweep runs opts
     [
       "w=1 (paper)", Config.berkmin;
       "w=2", { Config.berkmin with Config.top_window = 2 };
@@ -590,21 +508,21 @@ let ext_window opts =
       "w=16", { Config.berkmin with Config.top_window = 16 };
     ]
 
-let ext_minimize opts =
+let ext_minimize runs opts =
   Table.section "Ablation — learnt-clause minimization (post-2002 extension)";
-  class_sweep ~name:"ext-minimize" opts
+  class_sweep runs opts
     [
       "Off (paper)", Config.berkmin;
       "Basic", { Config.berkmin with Config.ccmin_mode = Config.Ccmin_basic };
       "Deep", { Config.berkmin with Config.ccmin_mode = Config.Ccmin_deep };
     ]
 
-let ext_dbparams opts =
+let ext_dbparams runs opts =
   Table.section "Ablation — database-management constants (Section 8)";
   print_endline
     "The paper fixes young fraction 1/16, keep-length 43/9, activity\n\
      bars 7/60; this varies the young fraction and the keep bars.";
-  class_sweep ~name:"ext-dbparams" opts
+  class_sweep runs opts
     [
       "Paper", Config.berkmin;
       "Young 1/4", { Config.berkmin with Config.young_fraction = 0.25 };
@@ -621,9 +539,9 @@ let ext_dbparams opts =
         } );
     ]
 
-let ext_decay opts =
+let ext_decay runs opts =
   Table.section "Ablation — activity aging (divide by 4 every 64 conflicts)";
-  class_sweep ~name:"ext-decay" opts
+  class_sweep runs opts
     [
       "Paper (64, /4)", Config.berkmin;
       ( "Slow (256, /2)",
@@ -642,43 +560,52 @@ let ext_decay opts =
 
 (* ------------------------------------------------------------------ *)
 
-let experiments = [
-  "table1", table1;
-  "table2", table2;
-  "table3", table3;
-  "table4", table4;
-  "table5", table5;
-  "table6", table6;
-  "table7", table7;
-  "table8", table8;
-  "table9", table9;
-  "table10", table10;
-  "figure1", figure1;
-  "ext-restarts", ext_restarts;
-  "ext-window", ext_window;
-  "ext-minimize", ext_minimize;
-  "ext-dbparams", ext_dbparams;
-  "ext-decay", ext_decay;
-]
+let paper =
+  [
+    "table1", table1;
+    "table2", table2;
+    "table3", table3;
+    "table4", table4;
+    "table5", table5;
+    "table6", table6;
+    "table7", table7;
+    "table8", table8;
+    "table9", table9;
+    "table10", table10;
+    "figure1", figure1;
+  ]
 
-(* The paper tables; the ext-* ablations run only when asked. *)
-let paper_experiments =
-  List.filter
-    (fun (name, _) -> not (String.length name >= 4 && String.sub name 0 4 = "ext-"))
-    experiments
+let experiments =
+  paper
+  @ [
+      "ext-restarts", ext_restarts;
+      "ext-window", ext_window;
+      "ext-minimize", ext_minimize;
+      "ext-dbparams", ext_dbparams;
+      "ext-decay", ext_decay;
+    ]
+
+let paper_names = List.map fst paper
 
 let names = List.map fst experiments
 
-let run_all opts = List.iter (fun (_, f) -> f opts) paper_experiments
-
-let run_extensions opts =
-  List.iter
-    (fun (name, f) -> if not (List.mem_assoc name paper_experiments) then f opts)
-    experiments
-
-let run_one opts name =
-  match List.assoc_opt name experiments with
-  | Some f ->
-    f opts;
-    true
-  | None -> false
+let run opts names =
+  let drivers =
+    List.map
+      (fun name ->
+        match List.assoc_opt name experiments with
+        | Some driver -> (name, driver)
+        | None -> invalid_arg ("Experiments.run: unknown experiment " ^ name))
+      names
+  in
+  let runs = Hashtbl.create 512 in
+  let twins =
+    List.map (fun (name, driver) -> (name, driver runs opts)) drivers
+  in
+  let wrong =
+    Hashtbl.fold
+      (fun (config, _, _) (o : Runner.outcome) acc ->
+        if o.correct then acc else (config, o) :: acc)
+      runs []
+  in
+  (twins, List.sort compare wrong)

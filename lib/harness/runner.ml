@@ -167,8 +167,7 @@ type class_result = {
   wrong : int;
 }
 
-let run_class ?budget config class_name instances =
-  let outcomes = List.map (run_instance ?budget config) instances in
+let class_of_outcomes class_name outcomes =
   {
     class_name;
     outcomes;

@@ -70,12 +70,8 @@ type class_result = {
   wrong : int;  (** verdicts contradicting expectations: must be 0 *)
 }
 
-val run_class :
-  ?budget:Berkmin.Solver.budget ->
-  Berkmin.Config.t ->
-  string ->
-  Instance.t list ->
-  class_result
+val class_of_outcomes : string -> outcome list -> class_result
+(** Totals the outcomes of one class's instances. *)
 
 val adjusted_seconds : penalty:float -> class_result -> float
 (** Total time with [penalty] added per aborted instance — the paper's

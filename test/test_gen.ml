@@ -255,6 +255,9 @@ let test_sudoku_clue_validation () =
 let test_suites_well_formed () =
   let classes = Berkmin_gen.Suites.all () in
   check Alcotest.int "twelve classes" 12 (List.length classes);
+  check
+    Alcotest.(list string)
+    "class names" (List.map fst classes) Berkmin_gen.Suites.class_names;
   List.iter
     (fun (name, instances) ->
       check Alcotest.bool (name ^ " nonempty") true (instances <> []);
@@ -265,11 +268,37 @@ let test_suites_well_formed () =
         instances)
     classes
 
+let instance_names = List.map (fun (i : Instance.t) -> i.Instance.name)
+
 let test_suites_find_class () =
-  check Alcotest.bool "Hole found" true (Berkmin_gen.Suites.find_class "Hole" <> []);
+  List.iter
+    (fun (cls, instances) ->
+      check
+        Alcotest.(list string)
+        cls (instance_names instances)
+        (instance_names (Berkmin_gen.Suites.find_class cls)))
+    (Berkmin_gen.Suites.all ());
   match Berkmin_gen.Suites.find_class "NoSuchClass" with
   | exception Not_found -> ()
   | _ -> Alcotest.fail "expected Not_found"
+
+(* The paper tables solve each (configuration, instance name, budget)
+   once, so a name must denote one formula wherever it appears. *)
+let test_suite_name_is_formula () =
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (fun (i : Instance.t) ->
+      let formula =
+        (Cnf.num_vars i.Instance.cnf, Cnf.clauses i.Instance.cnf, i.expected)
+      in
+      match Hashtbl.find_opt seen i.Instance.name with
+      | None -> Hashtbl.add seen i.Instance.name formula
+      | Some f ->
+        check Alcotest.bool (i.Instance.name ^ " is one formula") true
+          (f = formula))
+    (List.concat_map snd
+       (Berkmin_gen.Suites.all () @ Berkmin_gen.Suites.quick ())
+    @ Berkmin_gen.Suites.hard_instances ())
 
 let test_suite_names_unique () =
   let names =
@@ -350,5 +379,7 @@ let () =
           Alcotest.test_case "well-formed" `Quick test_suites_well_formed;
           Alcotest.test_case "find_class" `Quick test_suites_find_class;
           Alcotest.test_case "unique names" `Quick test_suite_names_unique;
+          Alcotest.test_case "one name, one formula" `Quick
+            test_suite_name_is_formula;
         ] );
     ]

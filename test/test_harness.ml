@@ -35,7 +35,10 @@ let test_run_class () =
   let instances =
     [ Berkmin_gen.Pigeonhole.instance 4 4; Berkmin_gen.Pigeonhole.instance 5 4 ]
   in
-  let r = Runner.run_class Berkmin.Config.berkmin "Hole" instances in
+  let r =
+    Runner.class_of_outcomes "Hole"
+      (List.map (Runner.run_instance Berkmin.Config.berkmin) instances)
+  in
   check Alcotest.int "outcomes" 2 (List.length r.Runner.outcomes);
   check Alcotest.int "no aborts" 0 r.Runner.aborted;
   check Alcotest.int "no wrong" 0 r.Runner.wrong;
@@ -46,9 +49,12 @@ let test_run_class () =
 let test_adjusted_seconds_with_aborts () =
   let instances = [ Berkmin_gen.Pigeonhole.instance 9 8 ] in
   let r =
-    Runner.run_class
-      ~budget:(Berkmin.Solver.budget_conflicts 10)
-      Berkmin.Config.berkmin "Hole" instances
+    Runner.class_of_outcomes "Hole"
+      (List.map
+         (Runner.run_instance
+            ~budget:(Berkmin.Solver.budget_conflicts 10)
+            Berkmin.Config.berkmin)
+         instances)
   in
   check Alcotest.int "one abort" 1 r.Runner.aborted;
   check Alcotest.bool "penalty applied" true
@@ -142,15 +148,61 @@ let test_config_presets_distinct () =
         (Berkmin.Config.name_of { c with top_window = 2 }))
     presets
 
+module Experiments = Berkmin_harness.Experiments
+module Json = Berkmin_types.Json
+
 let test_experiment_names () =
-  let names = Berkmin_harness.Experiments.names in
+  let names = Experiments.names in
   check Alcotest.int "sixteen experiments" 16 (List.length names);
   check Alcotest.bool "table7 present" true (List.mem "table7" names);
   check Alcotest.bool "figure1 present" true (List.mem "figure1" names);
   check Alcotest.bool "ext-restarts present" true (List.mem "ext-restarts" names);
-  check Alcotest.bool "unknown rejected" false
-    (Berkmin_harness.Experiments.run_one Berkmin_harness.Experiments.quick_opts
-       "nonsense")
+  match Experiments.run Experiments.quick_opts [ "nonsense" ] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "unknown experiment accepted"
+
+(* Conflict-only budgets keep the shared-column runs small; a column
+   two tables share must then be the same run, timings included. *)
+let small_opts =
+  {
+    Experiments.budget = Berkmin.Solver.budget_conflicts 200;
+    hard_budget = Berkmin.Solver.budget_conflicts 200;
+    abort_penalty = 1.0;
+  }
+
+let json = Alcotest.testable Json.pp ( = )
+
+let field path j =
+  List.fold_left
+    (fun j key ->
+      match Json.member key j with
+      | Some v -> v
+      | None -> Alcotest.failf "no %S in %s" key (Json.to_string j))
+    j path
+
+let items j = Option.get (Json.to_list_opt j)
+
+let test_hard_pairs_shared () =
+  let twins, wrong = Experiments.run small_opts [ "table8"; "table9" ] in
+  check Alcotest.int "no wrong answer" 0 (List.length wrong);
+  let pairs name = items (field [ "instances" ] (List.assoc name twins)) in
+  check Alcotest.int "five hard instances" 5 (List.length (pairs "table8"));
+  List.iter2
+    (fun t8 t9 ->
+      check json "chaff run" (field [ "chaff" ] t8) (field [ "chaff" ] t9);
+      check json "berkmin run" (field [ "berkmin" ] t8) (field [ "berkmin" ] t9))
+    (pairs "table8") (pairs "table9")
+
+let test_berkmin_column_shared () =
+  let twins, _ = Experiments.run small_opts [ "table1"; "table2" ] in
+  let berkmin name =
+    List.find
+      (fun c -> field [ "config" ] c = Json.String "BerkMin")
+      (items (field [ "configs" ] (List.assoc name twins)))
+  in
+  check json "BerkMin classes"
+    (field [ "classes" ] (berkmin "table1"))
+    (field [ "classes" ] (berkmin "table2"))
 
 let () =
   Alcotest.run "harness"
@@ -179,5 +231,12 @@ let () =
         [
           Alcotest.test_case "presets distinct" `Quick test_config_presets_distinct;
           Alcotest.test_case "experiment names" `Quick test_experiment_names;
+        ] );
+      ( "run set",
+        [
+          Alcotest.test_case "tables 8 and 9 share the hard runs" `Quick
+            test_hard_pairs_shared;
+          Alcotest.test_case "tables 1 and 2 share the BerkMin column" `Quick
+            test_berkmin_column_shared;
         ] );
     ]
