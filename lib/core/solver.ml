@@ -146,11 +146,6 @@ let arena_bytes s = Arena.bytes s.arena
 let arena_wasted_bytes s = Arena.wasted_bytes s.arena
 let num_binary_entries s = Binary.num_entries s.binary
 
-let log_proof s e =
-  match s.proof with
-  | None -> ()
-  | Some f -> f e
-
 (* Events are built only when a logger is attached: without one, a
    learnt or deleted clause is neither copied nor sorted. *)
 let log_add s lits =
@@ -1000,8 +995,7 @@ let simplify_now s =
       done;
       let opts = { Simp.default_opts with bve_growth = s.cfg.simplify_growth } in
       let out =
-        Simp.run ~opts ~nvars:s.nvars ~frozen ~roots:!roots
-          ~proof:(fun e -> log_proof s e)
+        Simp.run ~opts ?proof:s.proof ~nvars:s.nvars ~frozen ~roots:!roots
           !input
       in
       let st = out.Simp.st in

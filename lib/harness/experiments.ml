@@ -51,6 +51,17 @@ let solve_class runs ~budget config (name, instances) =
 let class_seconds opts (r : Runner.class_result) =
   Table.seconds_aborted r.total_seconds r.aborted ~penalty:opts.abort_penalty
 
+(* Decided on the seconds each row prints, so timer noise below the
+   print precision cannot pick a side. *)
+let winner opts ~chaff ~berkmin =
+  let printed (r : Runner.class_result) =
+    float_of_string
+      (Table.seconds
+         (Table.penalized r.total_seconds r.aborted ~penalty:opts.abort_penalty))
+  in
+  let c = printed chaff and b = printed berkmin in
+  if c < b then "chaff" else if b < c then "berkmin" else "tie"
+
 (* ------------------------------------------------------------------ *)
 (* Shared sweep machinery: run several configurations over the twelve
    classes and print one column per configuration, as Tables 1/2/4/5
@@ -225,7 +236,7 @@ let table6 runs opts =
       [
         class_seconds opts ch;
         class_seconds opts bm;
-        (if ch.total_seconds < bm.total_seconds then "chaff" else "berkmin");
+        winner opts ~chaff:ch ~berkmin:bm;
       ])
     [
       "Hole"; "Blocksworld"; "Par16"; "Sss1.0"; "Sss1.0a"; "Sss_sat1.0";

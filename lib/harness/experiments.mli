@@ -29,6 +29,12 @@ val paper_names : string list
     (conclusions), top-clause window (Remark 2), learnt-clause
     minimization, database-management and activity-aging constants. *)
 
+val winner :
+  opts -> chaff:Runner.class_result -> berkmin:Runner.class_result -> string
+(** Table 6's [winner] cell: ["chaff"] or ["berkmin"], whichever row
+    prints fewer seconds (total plus abort penalty, to the table's two
+    decimals), or ["tie"] when both print the same. *)
+
 val run :
   opts ->
   string list ->

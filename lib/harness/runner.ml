@@ -177,9 +177,6 @@ let class_of_outcomes class_name outcomes =
     wrong = List.length (List.filter (fun o -> not o.correct) outcomes);
   }
 
-let adjusted_seconds ~penalty r =
-  r.total_seconds +. (penalty *. float_of_int r.aborted)
-
 let class_result_to_json r =
   Json.Obj
     [

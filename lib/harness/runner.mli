@@ -73,10 +73,6 @@ type class_result = {
 val class_of_outcomes : string -> outcome list -> class_result
 (** Totals the outcomes of one class's instances. *)
 
-val adjusted_seconds : penalty:float -> class_result -> float
-(** Total time with [penalty] added per aborted instance — the paper's
-    "lower number plus 60,000 times the number of aborted" rows. *)
-
 val class_result_to_json : class_result -> Berkmin_types.Json.t
 
 val default_budget : Berkmin.Solver.budget

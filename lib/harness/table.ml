@@ -56,9 +56,12 @@ let to_json ~header rows =
 
 let seconds s = Printf.sprintf "%.2f" s
 
+let penalized total aborted ~penalty =
+  total +. (penalty *. float_of_int aborted)
+
 let seconds_aborted total aborted ~penalty =
-  if aborted = 0 then Printf.sprintf "%.2f" total
-  else Printf.sprintf "> %.2f (%d)" (total +. (penalty *. float_of_int aborted)) aborted
+  if aborted = 0 then seconds total
+  else Printf.sprintf "> %s (%d)" (seconds (penalized total aborted ~penalty)) aborted
 
 let ratio r = Printf.sprintf "%.2f" r
 

@@ -20,9 +20,14 @@ val to_json :
 val seconds : float -> string
 (** Two-decimal rendering, e.g. ["12.34"]. *)
 
+val penalized : float -> int -> penalty:float -> float
+(** [penalized total aborted ~penalty] is [total] plus [penalty] per
+    aborted instance: the paper's "lower number plus 60,000 times the
+    number of aborted" rule, and the value {!seconds_aborted} prints. *)
+
 val seconds_aborted : float -> int -> penalty:float -> string
-(** The paper's abort notation: ["12.3"] with no aborts, ["> 132.3 (2)"]
-    (time plus penalty per abort) otherwise. *)
+(** The paper's abort notation: ["12.30"] with no aborts,
+    ["> 132.30 (2)"] ({!penalized}) otherwise. *)
 
 val ratio : float -> string
 (** e.g. ["2.40"]. *)

@@ -5,10 +5,11 @@
     index, operating on a plain clause list so the engine can be driven
     by the solver (from its arena), by tests, or standalone.
 
-    Every rewrite is mirrored to the DRUP callback with derived clauses
-    added {e before} the clauses they came from are deleted, so the
-    emitted event stream splices into the solver's proof log and still
-    forward-checks (see docs/SIMPLIFY.md for the full argument).
+    When a DRUP logger is attached, every rewrite is mirrored to it
+    with derived clauses added {e before} the clauses they came from
+    are deleted, so the emitted event stream splices into the solver's
+    proof log and still forward-checks (see docs/SIMPLIFY.md for the
+    full argument).
     Eliminated variables come back as an elimination stack; {!Recon}
     replays it to repair SAT models. *)
 
@@ -20,8 +21,13 @@ type opts = {
       (** BVE may add this many resolvents beyond the clauses removed *)
   bve_max_occ : int;
       (** skip elimination of variables with more total occurrences *)
-  probe_budget : int;  (** total binary-implication steps for probing *)
-  subsume_budget : int;  (** total candidate tests for subsumption *)
+  probe_budget : int;
+      (** total binary-implication steps for probing: every edge a
+          probe's DFS visits counts *)
+  subsume_budget : int;
+      (** total candidate tests for subsumption: every occurrence entry
+          scanned counts, including entries of deleted clauses, which
+          the occurrence lists keep *)
 }
 
 val default_opts : opts
@@ -68,13 +74,13 @@ type outcome = {
 
 val run :
   ?opts:opts ->
+  ?proof:(Berkmin_proof.Drup.event -> unit) ->
   nvars:int ->
   frozen:(int -> bool) ->
   roots:Lit.t list ->
-  proof:(Berkmin_proof.Drup.event -> unit) ->
   clause_in list ->
   outcome
-(** [run ~nvars ~frozen ~roots ~proof clauses] simplifies [clauses].
+(** [run ~nvars ~frozen ~roots clauses] simplifies [clauses].
 
     [frozen v] excludes [v] from variable elimination (assumption
     variables, variables the caller will mention again).  [roots] are
@@ -83,5 +89,7 @@ val run :
     re-emitted to the proof — the caller must have logged them (the
     solver logs every level-0 enqueue whenever a proof logger is
     attached).
-    The [proof] callback receives every Add/Delete in a forward-
-    checkable order; pass [ignore] when no proof is wanted. *)
+    The [proof] logger receives every Add/Delete in a forward-
+    checkable order.  Without one, no proof work happens: no event is
+    built and no clause is copied for one.  The outcome, stats
+    included, does not depend on whether a logger is attached. *)

@@ -298,7 +298,7 @@ let run_engine ?opts ?(frozen = fun _ -> false) ~nvars lists =
           redundant = false })
       lists
   in
-  Engine.run ?opts ~nvars ~frozen ~roots:[] ~proof:ignore clauses
+  Engine.run ?opts ~nvars ~frozen ~roots:[] clauses
 
 (* The formula an engine outcome stands for: the surviving clauses, the
    resolvents, the derived units and the [roots] it started from. *)
@@ -317,7 +317,7 @@ let engine_input cnf =
 
 let run_cnf ?opts ?(roots = []) cnf =
   Engine.run ?opts ~nvars:(Cnf.num_vars cnf) ~frozen:(fun _ -> false) ~roots
-    ~proof:ignore (engine_input cnf)
+    (engine_input cnf)
 
 let random_3sat ~ratio (nv, seed) =
   Random_ksat.generate ~num_vars:nv ~num_clauses:(ratio * nv) ~k:3 ~seed
@@ -485,8 +485,7 @@ let prop_pipeline =
       let first = run_cnf ~opts:no_bve cnf in
       let roots = first.Engine.units in
       let second =
-        Engine.run ~nvars ~frozen:(fun _ -> false) ~roots ~proof:ignore
-          first.Engine.kept
+        Engine.run ~nvars ~frozen:(fun _ -> false) ~roots first.Engine.kept
       in
       equisatisfiable cnf second
         (if first.Engine.unsat then outcome_cnf ~nvars first

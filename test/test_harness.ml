@@ -3,6 +3,7 @@
 
 module Runner = Berkmin_harness.Runner
 module Table = Berkmin_harness.Table
+module Experiments = Berkmin_harness.Experiments
 module Stats = Berkmin.Stats
 
 let check = Alcotest.check
@@ -44,7 +45,7 @@ let test_run_class () =
   check Alcotest.int "no wrong" 0 r.Runner.wrong;
   check (Alcotest.float 0.001) "adjusted = total when no aborts"
     r.Runner.total_seconds
-    (Runner.adjusted_seconds ~penalty:100.0 r)
+    (Table.penalized r.Runner.total_seconds r.Runner.aborted ~penalty:100.0)
 
 let test_adjusted_seconds_with_aborts () =
   let instances = [ Berkmin_gen.Pigeonhole.instance 9 8 ] in
@@ -58,7 +59,8 @@ let test_adjusted_seconds_with_aborts () =
   in
   check Alcotest.int "one abort" 1 r.Runner.aborted;
   check Alcotest.bool "penalty applied" true
-    (Runner.adjusted_seconds ~penalty:50.0 r >= 50.0)
+    (Table.penalized r.Runner.total_seconds r.Runner.aborted ~penalty:50.0
+     >= 50.0)
 
 (* ------------------------------------------------------------------ *)
 
@@ -77,6 +79,26 @@ let test_table_render () =
       lines
   in
   List.iter (fun w -> check Alcotest.int "aligned" (List.hd widths) w) widths
+
+(* Table 6's winner reads the seconds the rows print: results 3 ms
+   apart both print 0.00 and tie, whichever is really faster; the
+   abort penalty counts. *)
+let test_table_winner () =
+  let result total_seconds aborted =
+    { Runner.class_name = "Par16"; outcomes = []; total_seconds; aborted;
+      wrong = 0 }
+  in
+  let winner ch bm =
+    Experiments.winner Experiments.quick_opts ~chaff:ch ~berkmin:bm
+  in
+  check Alcotest.string "below print precision" "tie"
+    (winner (result 0.001 0) (result 0.004 0));
+  check Alcotest.string "the other way round" "tie"
+    (winner (result 0.004 0) (result 0.001 0));
+  check Alcotest.string "a printed difference" "chaff"
+    (winner (result 0.001 0) (result 0.009 0));
+  check Alcotest.string "abort penalty counts" "berkmin"
+    (winner (result 0.5 1) (result 1.2 0))
 
 let test_table_seconds () =
   check Alcotest.string "plain" "12.35" (Table.seconds 12.345);
@@ -148,7 +170,6 @@ let test_config_presets_distinct () =
         (Berkmin.Config.name_of { c with top_window = 2 }))
     presets
 
-module Experiments = Berkmin_harness.Experiments
 module Json = Berkmin_types.Json
 
 let test_experiment_names () =
@@ -220,6 +241,8 @@ let () =
         [
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "seconds" `Quick test_table_seconds;
+          Alcotest.test_case "winner at print precision" `Quick
+            test_table_winner;
         ] );
       ( "stats",
         [

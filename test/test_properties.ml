@@ -99,8 +99,7 @@ let prop_preprocess_preserves_verdict =
       Cnf.add_clause cnf [ root ];
       let direct = solver_verdict cnf in
       let out =
-        Engine.run ~nvars:nv ~frozen:(fun _ -> false) ~roots:[ root ]
-          ~proof:ignore input
+        Engine.run ~nvars:nv ~frozen:(fun _ -> false) ~roots:[ root ] input
       in
       if out.Engine.unsat then not direct
       else begin

@@ -40,7 +40,7 @@ let run_engine ?opts ?(frozen = fun _ -> false) ?(roots = []) ~nvars lists =
           redundant = false })
       lists
   in
-  Engine.run ?opts ~nvars ~frozen ~roots ~proof:ignore clauses
+  Engine.run ?opts ~nvars ~frozen ~roots clauses
 
 let pre = { Config.berkmin with simplify = Simp_pre }
 let inproc = { Config.berkmin with simplify = Simp_inprocess }
@@ -140,6 +140,97 @@ let test_engine_failed_literal () =
 let test_engine_unsat_detected () =
   let out = run_engine ~nvars:2 [ [ 1; 2 ]; [ 1; -2 ]; [ -1; 2 ]; [ -1; -2 ] ] in
   check Alcotest.bool "root conflict" true out.Engine.unsat
+
+(* ------------------------------------------------------------------ *)
+(* Engine: the logger does not steer, and the budgets bind exactly     *)
+
+(* Random clauses of length 1-4 over [nvars] variables, some of them
+   redundant; random frozen variables, roots and (often binding)
+   budgets. *)
+let random_engine_case (nvars, seed) =
+  let rng = Rng.create seed in
+  let random_lit () = Lit.make (Rng.int rng nvars) (Rng.bool rng) in
+  let clauses =
+    List.init
+      (Rng.int rng (6 * nvars))
+      (fun tag ->
+        { Engine.lits = Array.init (1 + Rng.int rng 4) (fun _ -> random_lit ());
+          tag;
+          redundant = Rng.int rng 4 = 0 })
+  in
+  let frozen = Array.init nvars (fun _ -> Rng.int rng 5 = 0) in
+  let roots = List.init (Rng.int rng 3) (fun _ -> random_lit ()) in
+  let opts =
+    { Engine.default_opts with
+      Engine.bve_growth = Rng.int rng 3;
+      probe_budget = Rng.int rng 80;
+      subsume_budget = Rng.int rng 400 }
+  in
+  (opts, (fun v -> frozen.(v)), roots, clauses)
+
+let prop_logger_does_not_steer =
+  QCheck.Test.make ~name:"outcome is the same with and without a logger"
+    ~count:500
+    QCheck.(pair (int_range 1 16) (int_range 0 1_000_000))
+    (fun ((nvars, _) as params) ->
+      let opts, frozen, roots, clauses = random_engine_case params in
+      let quiet = Engine.run ~opts ~nvars ~frozen ~roots clauses in
+      let events = ref [] in
+      let logged =
+        Engine.run ~opts
+          ~proof:(fun e -> events := e :: !events)
+          ~nvars ~frozen ~roots clauses
+      in
+      (* Structural: kept, resolvents, units, unsat, eliminated and
+         every stats field. *)
+      quiet = logged)
+
+(* A 40-variable implication chain (for probing) and 120 random
+   ternary clauses, each listed twice: the pass deletes a copy early,
+   and every later scan of its occurrence entries still pays.  Every
+   clause has a positive literal, so all-true satisfies the formula
+   and no root conflict cuts the pass short.  Both budgets run out in
+   the first round.  The pinned values were recorded from the engine
+   before its clause table became flat arrays. *)
+let budget_formula () =
+  let rng = Rng.create 2024 in
+  let n = 40 in
+  let chain = List.init (n - 1) (fun i -> [ -(i + 1); i + 2 ]) in
+  let ternary =
+    List.init 120 (fun _ ->
+        List.init 3 (fun k ->
+            let v = 1 + Rng.int rng n in
+            if k = 0 || Rng.bool rng then v else -v))
+  in
+  (n, chain @ List.concat_map (fun c -> [ c; c ]) ternary)
+
+let test_engine_budgets_bind () =
+  let nvars, lists = budget_formula () in
+  let opts =
+    { Engine.default_opts with
+      Engine.probe_budget = 30;
+      subsume_budget = 2_000 }
+  in
+  let out = run_engine ~opts ~nvars lists in
+  let st = out.Engine.st in
+  let lits_of l = String.concat " " (List.map Lit.to_string l) in
+  let summary =
+    Printf.sprintf
+      "rounds=%d subsumed=%d strengthened=%d eliminated=%d failed=%d \
+       deleted=%d resolvents=%d kept=%d tags=%d vars=[%s] units=[%s] \
+       unsat=%b"
+      st.Engine.rounds st.Engine.subsumed st.Engine.strengthened
+      st.Engine.eliminated_vars st.Engine.failed_literals
+      st.Engine.simplified_clauses st.Engine.resolvents_added
+      (List.length out.Engine.kept)
+      (List.fold_left (fun acc c -> acc + c.Engine.tag) 0 out.Engine.kept)
+      (lits_of (List.map (fun e -> Lit.pos e.Engine.var) out.Engine.eliminated))
+      (lits_of out.Engine.units) out.Engine.unsat
+  in
+  check Alcotest.string "pinned outcome"
+    "rounds=2 subsumed=44 strengthened=22 eliminated=2 failed=0 deleted=58 \
+     resolvents=12 kept=221 tags=33404 vars=[19 8] units=[] unsat=false"
+    summary
 
 (* ------------------------------------------------------------------ *)
 (* Solver: BVE on SAT instances, model checked against the originals   *)
@@ -420,6 +511,9 @@ let () =
             test_engine_failed_literal;
           Alcotest.test_case "root conflict detected" `Quick
             test_engine_unsat_detected;
+          QCheck_alcotest.to_alcotest prop_logger_does_not_steer;
+          Alcotest.test_case "binding budgets, pinned outcome" `Quick
+            test_engine_budgets_bind;
         ] );
       ( "solver-sat",
         [
