@@ -189,3 +189,21 @@ let ok ?id fields =
 let error ?id msg =
   let id = match id with Some j -> [ "id", j ] | None -> [] in
   Json.Obj (id @ [ "ok", Json.Bool false; "error", Json.String msg ])
+
+(* The one reply that grows with the formula, so it gets no [Json.t]
+   node per variable. *)
+let add_sat b ?id model =
+  Buffer.add_char b '{';
+  (match id with
+  | Some j ->
+    Buffer.add_string b {|"id":|};
+    Json.add b j;
+    Buffer.add_char b ','
+  | None -> ());
+  Buffer.add_string b {|"ok":true,"status":"sat","model":[|};
+  Array.iteri
+    (fun v value ->
+      if v > 0 then Buffer.add_char b ',';
+      Json.add_int b (if value then v + 1 else -(v + 1)))
+    model;
+  Buffer.add_string b "]}"

@@ -62,3 +62,10 @@ val ok : ?id:Json.t -> (string * Json.t) list -> Json.t
 
 val error : ?id:Json.t -> string -> Json.t
 (** Failure response: ["ok": false, "error": message]. *)
+
+val add_sat : Buffer.t -> ?id:Json.t -> bool array -> unit
+(** [add_sat b ?id m] appends the SAT response for model [m] to [b]:
+    the bytes of [Json.to_string (ok ?id ["status", String "sat";
+    "model", List ...])], where variable [v] is [v + 1] if [m.(v)] and
+    [-(v + 1)] otherwise.  The model is written by {!Json.add_int},
+    with no {!Json.t} node per variable. *)

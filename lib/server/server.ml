@@ -14,6 +14,8 @@ type t = {
   max_sessions : int;
   sessions : (string, session) Hashtbl.t;
   trace : Trace.t;
+  reply : Buffer.t;
+      (* every reply is written here; it keeps the size of the largest *)
 }
 
 let create ?(config = Config.berkmin) ?(max_sessions = 64) () =
@@ -24,6 +26,7 @@ let create ?(config = Config.berkmin) ?(max_sessions = 64) () =
     max_sessions;
     sessions = Hashtbl.create 16;
     trace = Trace.create ();
+    reply = Buffer.create 256;
   }
 
 let num_sessions t = Hashtbl.length t.sessions
@@ -39,12 +42,6 @@ let close t =
 
 (* ------------------------------------------------------------------ *)
 (* Request servicing                                                   *)
-
-let model_to_json s m =
-  (* the assignment as signed DIMACS integers, one per variable *)
-  Json.List
-    (List.init (Solver.num_vars s) (fun v ->
-         Json.Int (if m.(v) then v + 1 else -(v + 1))))
 
 let core_to_json core =
   Json.List (List.map (fun l -> Json.Int (Lit.to_dimacs l)) core)
@@ -67,14 +64,18 @@ let stats_fields sess =
 let budget_of max_conflicts max_ms =
   { Solver.max_conflicts; max_seconds = Option.map (fun ms -> ms /. 1000.) max_ms }
 
+type payload =
+  | Fields of (string * Json.t) list  (* success *)
+  | Model of bool array  (* a SAT answer: [Protocol.add_sat] writes it *)
+  | Failed of string
+
 type outcome = {
-  response : (string * Json.t) list;  (* payload on success *)
-  failure : string option;
+  payload : payload;
   status : string;  (* for the trace event *)
 }
 
-let okay ?(status = "ok") response = { response; failure = None; status }
-let fail msg = { response = []; failure = Some msg; status = "error" }
+let okay ?(status = "ok") fields = { payload = Fields fields; status }
+let fail msg = { payload = Failed msg; status = "error" }
 
 let with_session t session f =
   match session with
@@ -140,12 +141,7 @@ let service t (req : Protocol.request) =
     with_session t req.session (fun sess ->
         let budget = budget_of max_conflicts max_ms in
         match Solver.solve ~budget ~assumps sess.solver with
-        | Solver.Sat m ->
-          okay ~status:"sat"
-            [
-              "status", Json.String "sat";
-              "model", model_to_json sess.solver m;
-            ]
+        | Solver.Sat m -> { payload = Model m; status = "sat" }
         | Solver.Unsat ->
           let core =
             match Solver.unsat_core sess.solver with
@@ -174,7 +170,15 @@ let counters_of solver =
     (st.Stats.conflicts, st.Stats.propagations)
   | None -> (0, 0)
 
-let handle t json =
+let write_reply b ?id = function
+  | Fields fields -> Json.add b (Protocol.ok ?id fields)
+  | Model m -> Protocol.add_sat b ?id m
+  | Failed msg -> Json.add b (Protocol.error ?id msg)
+
+(* Services one parsed request and writes its reply into [t.reply]; the
+   trace event's latency covers both.  Returns whether to keep
+   serving. *)
+let respond t json =
   let started = Unix.gettimeofday () in
   let id = Json.member "id" json in
   let parsed = Protocol.parse json in
@@ -195,11 +199,7 @@ let handle t json =
   let outcome =
     match parsed with Ok req -> service t req | Error msg -> fail msg
   in
-  let response =
-    match outcome.failure with
-    | None -> Protocol.ok ?id outcome.response
-    | Some msg -> Protocol.error ?id msg
-  in
+  write_reply t.reply ?id outcome.payload;
   if Trace.active t.trace then begin
     let solver =
       match solver with Some _ -> solver | None -> session_solver t session_name
@@ -216,18 +216,15 @@ let handle t json =
            latency_ms = 1000. *. (Unix.gettimeofday () -. started);
          })
   end;
-  let continue =
-    match parsed with
-    | Ok { command = Protocol.Shutdown; _ } -> `Shutdown
-    | Ok _ | Error _ -> `Continue
-  in
-  (response, continue)
+  match parsed with
+  | Ok { command = Protocol.Shutdown; _ } -> `Shutdown
+  | Ok _ | Error _ -> `Continue
 
-let handle_line t line =
+(* Services one request line, leaving its reply in [t.reply]. *)
+let respond_line t line =
+  Buffer.clear t.reply;
   match Json.of_string line with
-  | json ->
-    let response, continue = handle t json in
-    (Json.to_string response, continue)
+  | json -> respond t json
   | exception Json.Parse_error msg ->
     if Trace.active t.trace then
       Trace.emit t.trace
@@ -240,7 +237,12 @@ let handle_line t line =
              propagations = 0;
              latency_ms = 0.;
            });
-    (Json.to_string (Protocol.error ("malformed JSON: " ^ msg)), `Continue)
+    write_reply t.reply (Failed ("malformed JSON: " ^ msg));
+    `Continue
+
+let handle_line t line =
+  let continue = respond_line t line in
+  (Buffer.contents t.reply, continue)
 
 (* ------------------------------------------------------------------ *)
 (* Transports                                                          *)
@@ -261,9 +263,36 @@ let serve_channels t ic oc =
 
 (* --- Unix-domain-socket select loop ------------------------------- *)
 
+(* The bytes a client sent after its last complete line, in the pieces
+   they arrived in, newest first. *)
+type pending = string list ref
+
+let pending () = ref []
+
+let split_lines p chunk n =
+  let rec newline i =
+    if i >= n then None
+    else if Bytes.get chunk i = '\n' then Some i
+    else newline (i + 1)
+  in
+  let rec go start lines =
+    match newline start with
+    | Some stop ->
+      let piece = Bytes.sub_string chunk start (stop - start) in
+      let line =
+        if !p = [] then piece else String.concat "" (List.rev (piece :: !p))
+      in
+      p := [];
+      go (stop + 1) (line :: lines)
+    | None ->
+      if start < n then p := Bytes.sub_string chunk start (n - start) :: !p;
+      List.rev lines
+  in
+  go 0 []
+
 type conn = {
   fd : Unix.file_descr;
-  pending : Buffer.t;  (* bytes received, not yet a complete line *)
+  pending : pending;
 }
 
 let rec select_retry rds timeout =
@@ -272,27 +301,13 @@ let rec select_retry rds timeout =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> select_retry rds timeout
 
 let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
   let rec go off =
-    if off < n then
-      match Unix.write fd b off (n - off) with
+    if off < String.length s then
+      match Unix.write_substring fd s off (String.length s - off) with
       | written -> go (off + written)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
   in
   go 0
-
-(* Splits off every complete line accumulated in [buf], leaving the
-   trailing partial line in place. *)
-let drain_lines buf =
-  let s = Buffer.contents buf in
-  match String.rindex_opt s '\n' with
-  | None -> []
-  | Some last ->
-    Buffer.clear buf;
-    Buffer.add_string buf
-      (String.sub s (last + 1) (String.length s - last - 1));
-    String.split_on_char '\n' (String.sub s 0 last)
 
 let serve_socket_until t ~path ~ready =
   (match Unix.unlink path with
@@ -330,7 +345,7 @@ let serve_socket_until t ~path ~ready =
               match Unix.accept srv with
               | client, _ ->
                 Hashtbl.replace conns client
-                  { fd = client; pending = Buffer.create 256 }
+                  { fd = client; pending = pending () }
               | exception Unix.Unix_error _ -> ()
             end
             else
@@ -340,19 +355,20 @@ let serve_socket_until t ~path ~ready =
                 match Unix.read c.fd chunk 0 (Bytes.length chunk) with
                 | 0 -> close_conn c
                 | n ->
-                  Buffer.add_subbytes c.pending chunk 0 n;
                   List.iter
                     (fun line ->
                       if (not !stop) && String.trim line <> "" then begin
-                        let response, continue = handle_line t line in
-                        (match write_all c.fd (response ^ "\n") with
+                        let continue = respond_line t line in
+                        (* the reply and its newline, copied out together *)
+                        Buffer.add_char t.reply '\n';
+                        (match write_all c.fd (Buffer.contents t.reply) with
                         | () -> ()
                         | exception Unix.Unix_error _ -> close_conn c);
                         match continue with
                         | `Shutdown -> stop := true
                         | `Continue -> ()
                       end)
-                    (drain_lines c.pending)
+                    (split_lines c.pending chunk n)
                 | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
                 | exception Unix.Unix_error _ -> close_conn c))
           readable

@@ -8,8 +8,8 @@
     workload of [bin/ec.ml], CEGAR-style refinement loops, …) pays for
     the shared search work once instead of once per query.
 
-    The core is transport-agnostic: {!handle} maps one request object
-    to one response object.  Two transports are provided — a blocking
+    The core is transport-agnostic: {!handle_line} maps one request
+    line to one response line.  Two transports are provided — a blocking
     stdio loop ({!serve_channels}) and a Unix-domain-socket select
     loop ({!serve_socket}) multiplexing any number of concurrent
     clients from a single thread, in the style of
@@ -25,8 +25,6 @@
     Aggregate counts (requests, errors, solves by verdict) are sums
     over those events. *)
 
-open Berkmin_types
-
 type t
 
 val create :
@@ -37,14 +35,15 @@ val create :
     evicted.
     @raise Invalid_argument if [max_sessions] is below 1. *)
 
-val handle : t -> Json.t -> Json.t * [ `Continue | `Shutdown ]
-(** Services one request: returns the response to send back and
-    whether the daemon should keep serving.  Never raises on malformed
-    input — errors become [{"ok": false}] responses.  [`Shutdown] only
-    follows an explicit [shutdown] request. *)
-
 val handle_line : t -> string -> string * [ `Continue | `Shutdown ]
-(** {!handle} lifted to wire lines (parse, service, print). *)
+(** Services one request line: returns the response line to send back
+    (a fresh string, without its newline) and whether the daemon
+    should keep serving.  Never raises on malformed input — errors
+    become [{"ok": false}] responses.  [`Shutdown] only follows an
+    explicit [shutdown] request.  Every response is written into one
+    buffer the server keeps, as large as its largest response; a SAT
+    model is written straight from the solver's answer
+    ({!Protocol.add_sat}). *)
 
 val num_sessions : t -> int
 
@@ -77,3 +76,18 @@ val serve_socket_until :
 (** {!serve_socket} with a [ready] callback invoked once the socket is
     bound and listening — how a test (or a parent process) knows it
     may connect without racing the bind. *)
+
+type pending
+(** The bytes a client has sent after its last complete line. *)
+
+val pending : unit -> pending
+(** Nothing pending. *)
+
+val split_lines : pending -> bytes -> int -> string list
+(** [split_lines p chunk n] takes the first [n] bytes of [chunk], as
+    read from a client, and returns the lines they complete, in order,
+    without their ['\n'] (blank lines included); the bytes after the
+    last ['\n'] stay in [p].  Only the new bytes are scanned, and a
+    line is copied out once, when it completes, so a line read in
+    pieces costs time and allocation linear in its length.  The
+    socket loop's splitter, exposed for tests. *)

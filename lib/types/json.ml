@@ -42,11 +42,27 @@ let float_repr f =
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
     else s ^ ".0"
 
-let rec add_json b = function
+(* The decimal digits of [n >= 0], most significant first. *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+(* [string_of_int n] written into [b], with no string per integer.
+   [-min_int] overflows, so a negative [n] writes the digits of
+   [-(n / 10)] and then its last digit. *)
+let add_int b n =
+  if n >= 0 then add_digits b n
+  else begin
+    Buffer.add_char b '-';
+    if n <= -10 then add_digits b (-(n / 10));
+    Buffer.add_char b (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+  end
+
+let rec add b = function
   | Null -> Buffer.add_string b "null"
   | Bool true -> Buffer.add_string b "true"
   | Bool false -> Buffer.add_string b "false"
-  | Int n -> Buffer.add_string b (string_of_int n)
+  | Int n -> add_int b n
   | Float f -> Buffer.add_string b (float_repr f)
   | String s -> escape_string b s
   | List items ->
@@ -54,7 +70,7 @@ let rec add_json b = function
     List.iteri
       (fun i item ->
         if i > 0 then Buffer.add_char b ',';
-        add_json b item)
+        add b item)
       items;
     Buffer.add_char b ']'
   | Obj fields ->
@@ -64,13 +80,13 @@ let rec add_json b = function
         if i > 0 then Buffer.add_char b ',';
         escape_string b k;
         Buffer.add_char b ':';
-        add_json b v)
+        add b v)
       fields;
     Buffer.add_char b '}'
 
 let to_string j =
   let b = Buffer.create 256 in
-  add_json b j;
+  add b j;
   Buffer.contents b
 
 (* Indented rendering for files meant to be read by humans too. *)
@@ -78,7 +94,7 @@ let to_string_pretty j =
   let b = Buffer.create 256 in
   let pad n = Buffer.add_string b (String.make n ' ') in
   let rec go indent = function
-    | (Null | Bool _ | Int _ | Float _ | String _) as atom -> add_json b atom
+    | (Null | Bool _ | Int _ | Float _ | String _) as atom -> add b atom
     | List [] -> Buffer.add_string b "[]"
     | List items ->
       Buffer.add_string b "[\n";

@@ -20,6 +20,14 @@ type t =
 val to_string : t -> string
 (** Compact single-line rendering. *)
 
+val add : Buffer.t -> t -> unit
+(** Appends the compact rendering to a buffer: {!to_string} without
+    the string.  Integers go through {!add_int}. *)
+
+val add_int : Buffer.t -> int -> unit
+(** [add_int b n] appends [string_of_int n] to [b], digit by digit,
+    with no string per integer. *)
+
 val to_string_pretty : t -> string
 (** Two-space-indented rendering. *)
 

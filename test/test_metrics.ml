@@ -24,6 +24,7 @@ let test_json_roundtrip () =
       Json.Int 0;
       Json.Int (-42);
       Json.Int max_int;
+      Json.Int min_int;
       Json.Float 0.25;
       Json.Float 1e-3;
       Json.Float 1.7976931348623157e308;
@@ -50,6 +51,32 @@ let test_json_roundtrip () =
   in
   check Alcotest.bool "pretty roundtrip" true
     (Json.of_string (Json.to_string_pretty big) = big)
+
+(* The integer writer prints exactly what [string_of_int] prints. *)
+let prints_as_string_of_int n = Json.to_string (Json.Int n) = string_of_int n
+
+(* Each digit-count boundary, both signs, and [min_int], whose negation
+   overflows. *)
+let int_edges =
+  let rec powers p = if p > max_int / 10 then [ p ] else p :: powers (p * 10) in
+  let positive =
+    1 :: 9 :: List.concat_map (fun p -> [ p - 1; p ]) (powers 10)
+  in
+  (0 :: min_int :: max_int :: positive) @ List.map (fun n -> -n) positive
+
+let test_json_int_edges () =
+  List.iter
+    (fun n ->
+      check Alcotest.string (string_of_int n) (string_of_int n)
+        (Json.to_string (Json.Int n)))
+    int_edges
+
+(* Random ints of every size, with the edges drawn often enough that
+   each one comes up in a run. *)
+let prop_json_int =
+  QCheck.Test.make ~name:"json: Int n prints as string_of_int n" ~count:10_000
+    QCheck.(oneof [ int; small_signed_int; oneofl int_edges ])
+    prints_as_string_of_int
 
 let test_json_float_repr () =
   (* floats always re-parse as floats, never silently become ints *)
@@ -296,6 +323,8 @@ let () =
       ( "json",
         [
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
+          Alcotest.test_case "int edges" `Quick test_json_int_edges;
+          QCheck_alcotest.to_alcotest prop_json_int;
           Alcotest.test_case "float repr" `Quick test_json_float_repr;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
           Alcotest.test_case "errors" `Quick test_json_errors;

@@ -1,6 +1,8 @@
 (* Server-layer tests: protocol parsing, in-process request servicing,
    session lifecycle, per-request budgets, per-request trace events,
-   and a forked end-to-end socket round-trip with concurrent clients. *)
+   the bytes and allocation of a SAT reply, the socket loop's line
+   splitter, and a forked end-to-end socket round-trip with concurrent
+   clients. *)
 
 open Berkmin_types
 module Protocol = Berkmin_server.Protocol
@@ -14,9 +16,10 @@ let obj fields = Json.Obj fields
 let str s = Json.String s
 let int n = Json.Int n
 
+(* One request through the wire path, its reply parsed back. *)
 let handle_ok server request =
-  match Server.handle server request with
-  | response, `Continue -> response
+  match Server.handle_line server (Json.to_string request) with
+  | response, `Continue -> Json.of_string response
   | _, `Shutdown -> Alcotest.fail "unexpected shutdown"
 
 let assert_ok response =
@@ -276,6 +279,118 @@ let test_malformed_line () =
     "one event" [ "invalid:error" ] (requests ())
 
 (* ------------------------------------------------------------------ *)
+(* The SAT reply                                                       *)
+
+(* Session "s" with [n] variables, each fixed by a unit clause: variable
+   [v] is true unless [v mod 3 = 1].  [fixed v] is its wire literal. *)
+let fixed v = if v mod 3 <> 1 then v + 1 else -(v + 1)
+
+let open_fixed_session server n =
+  assert_ok
+    (handle_ok server
+       (obj [ "op", str "open"; "session", str "s"; "vars", int n ]));
+  let units = List.init n (fun v -> Json.List [ int (fixed v) ]) in
+  assert_ok
+    (handle_ok server
+       (obj
+          [
+            "op", str "add_clauses"; "session", str "s";
+            "clauses", Json.List units;
+          ]))
+
+let solve_line ?id () =
+  let id = match id with Some j -> [ "id", j ] | None -> [] in
+  Json.to_string (obj (id @ [ "op", str "solve"; "session", str "s" ]))
+
+(* Every byte of the direct writer's reply equals the JSON tree's
+   rendering, which stays here as the oracle: around the digit-count
+   boundaries, for a first solve and for the cached model, with and
+   without an echoed id. *)
+let test_sat_reply_bytes () =
+  List.iter
+    (fun n ->
+      let server = Server.create () in
+      open_fixed_session server n;
+      let model = Json.List (List.init n (fun v -> int (fixed v))) in
+      List.iter
+        (fun id ->
+          let expected =
+            Json.to_string
+              (Protocol.ok ?id [ "status", str "sat"; "model", model ])
+          in
+          let reply, _ = Server.handle_line server (solve_line ?id ()) in
+          check Alcotest.string
+            (Printf.sprintf "%d variables" n)
+            expected reply)
+        [ None; Some (int 42); Some (str "a \"quoted\\ id\n\t\001") ])
+    [ 0; 1; 9; 10; 99; 100; 10_001 ]
+
+(* Words allocated by [f ()], promoted words counted once. *)
+let allocated_words f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+(* A repeated plain solve answers from the cached model, so the
+   measured call is the reply alone: parsing the request and copying
+   the reply out of the reused buffer, with nothing per variable but
+   the returned string's bytes. *)
+let test_sat_reply_allocation () =
+  let n = 10_000 in
+  let server = Server.create () in
+  open_fixed_session server n;
+  let line = solve_line () in
+  ignore (Server.handle_line server line);
+  let (reply, _), words =
+    allocated_words (fun () -> Server.handle_line server line)
+  in
+  check Alcotest.string "sat" "sat" (status_of (Json.of_string reply));
+  if words >= 2. *. float n then
+    Alcotest.failf "one SAT reply allocated %.0f words for %d variables" words n
+
+(* ------------------------------------------------------------------ *)
+(* The socket loop's line splitter                                     *)
+
+let feed pending s =
+  Server.split_lines pending (Bytes.of_string s) (String.length s)
+
+let test_split_lines () =
+  let p = Server.pending () in
+  let lines = Alcotest.(list string) in
+  check lines "a partial line waits" [] (feed p {|{"op"|});
+  check lines "several lines in one read, blank ones included"
+    [ {|{"op":1}|}; {|{"a":2}|}; ""; "  " ]
+    (feed p ":1}\n{\"a\":2}\n\n  \nx");
+  check lines "still partial" [] (feed p "y");
+  check lines "a line split across three reads" [ "xyz" ] (feed p "z\n");
+  check lines "nothing pending" [ "one"; "two" ] (feed p "one\ntwo\n");
+  check lines "only the first n bytes count" []
+    (Server.split_lines p (Bytes.of_string "ab\ncd") 2);
+  check lines "so the stale newline was not a line end" [ "abc" ] (feed p "c\n")
+
+(* A 4 MB line read in 64 KB pieces is copied out once: the pieces and
+   the line, about twice its length, where copying the whole pending
+   buffer on every read costs about 40 times. *)
+let test_split_long_line () =
+  let len = 4 * 1024 * 1024 and piece = 65536 in
+  let p = Server.pending () in
+  let chunk = Bytes.make piece 'x' in
+  let before = Gc.allocated_bytes () in
+  let early = ref 0 in
+  for _ = 1 to len / piece do
+    early := !early + List.length (Server.split_lines p chunk piece)
+  done;
+  Bytes.set chunk 0 '\n';
+  let last = Server.split_lines p chunk 1 in
+  let allocated = Gc.allocated_bytes () -. before in
+  check Alcotest.int "no line before the newline" 0 !early;
+  check Alcotest.(list int) "one line of the full length" [ len ]
+    (List.map String.length last);
+  if allocated >= 3. *. float len then
+    Alcotest.failf "splitting a %d-byte line allocated %.0f bytes" len allocated
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end socket round-trip                                        *)
 
 let test_socket_concurrent_clients () =
@@ -327,6 +442,16 @@ let test_socket_concurrent_clients () =
         | Client.Unsat (Some core) ->
           check Alcotest.bool "non-empty core over the wire" true (core <> [])
         | _ -> Alcotest.fail "expected UNSAT with core");
+        (* a reply larger than the 64 KB Unix.write_substring passes to
+           one write(2) *)
+        Client.open_session ~vars:20_000 c3 "wide";
+        (match
+           Client.solve c3 ~session:"wide" ~assumps:[ Lit.of_dimacs (-20_000) ]
+         with
+        | Client.Sat m ->
+          check Alcotest.int "one value per variable" 20_000 (Array.length m);
+          check Alcotest.bool "assumption honoured" false m.(19_999)
+        | _ -> Alcotest.fail "expected SAT");
         let stats = Client.stats c1 ~session:"shared" in
         check Alcotest.bool "stats carry clause count" true
           (List.mem_assoc "clauses" stats);
@@ -371,6 +496,16 @@ let () =
         [
           Alcotest.test_case "trace" `Quick test_trace;
           Alcotest.test_case "malformed line" `Quick test_malformed_line;
+        ] );
+      ( "sat reply",
+        [
+          Alcotest.test_case "bytes" `Quick test_sat_reply_bytes;
+          Alcotest.test_case "allocation" `Quick test_sat_reply_allocation;
+        ] );
+      ( "line splitter",
+        [
+          Alcotest.test_case "lines across reads" `Quick test_split_lines;
+          Alcotest.test_case "long line" `Quick test_split_long_line;
         ] );
       ( "socket",
         [
