@@ -131,7 +131,6 @@ let run file config simplify_growth budget proof_file stats_flag check seed
         config with
         Berkmin.Config.simplify_growth;
         seed = Option.value seed ~default:config.Berkmin.Config.seed;
-        trace_jsonl = trace_file;
         heartbeat_interval = heartbeat;
         profile_timers = profile;
       }
@@ -150,7 +149,7 @@ let run file config simplify_growth budget proof_file stats_flag check seed
         let race =
           Portfolio.solve_config ~budget ~workers ?diversify
             ?wall_timeout:worker_timeout ?share ?share_max_len ?share_max_glue
-            config
+            ?trace_jsonl:trace_file config
         in
         try
           run_portfolio ~race ~workers ~diversify ~config ~file ~stats_flag
@@ -161,6 +160,11 @@ let run file config simplify_growth budget proof_file stats_flag check seed
       | cnf -> (
         try
           let solver = Berkmin.Solver.create ~config cnf in
+          Option.iter
+            (fun path ->
+              Berkmin.Solver.set_trace_sink solver
+                (Berkmin.Trace.open_jsonl path))
+            trace_file;
           let proof =
             match proof_file with
             | None -> None

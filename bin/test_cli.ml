@@ -182,6 +182,10 @@ let () =
             Alcotest.test_case name `Quick (test_unwritable exe args))
           [
             "berkmin --json", berkmin, [ unsat_cnf; "--json"; unwritable ];
+            "berkmin --trace", berkmin, [ unsat_cnf; "--trace"; unwritable ];
+            ( "berkmin --trace --workers 2",
+              berkmin,
+              [ unsat_cnf; "--trace"; unwritable; "--workers"; "2" ] );
             "fuzz --json", fuzz, [ "--rounds"; "1"; "--json"; unwritable ];
             "serverd --trace", serverd, [ "--trace"; unwritable ];
           ] );

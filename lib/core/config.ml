@@ -55,11 +55,9 @@ type t = {
   old_activity_threshold : int;
   old_threshold_increment : int;
   top_window : int;
-  debug_top_cursor : bool;
   ccmin_mode : ccmin_mode;
   phase_saving : bool;
   seed : int;
-  trace_jsonl : string option;
   heartbeat_interval : int;
   profile_timers : bool;
   simplify : simplify_mode;
@@ -87,11 +85,9 @@ let berkmin = {
   old_activity_threshold = 60;
   old_threshold_increment = 1;
   top_window = 1;
-  debug_top_cursor = false;
   ccmin_mode = Ccmin_off;
   phase_saving = false;
   seed = 1;
-  trace_jsonl = None;
   heartbeat_interval = 0;
   profile_timers = false;
   simplify = Simp_off;
@@ -241,8 +237,8 @@ let preset name =
       (Printf.sprintf "unknown strategy %S; available: %s" name
          (String.concat ", " (List.map fst presets)))
 
-(* Observability settings and the simplifier don't change the
-   heuristics a search runs, so a preset with a trace attached or
+(* The seed, the observation settings and the simplifier don't change
+   the heuristics a search runs, so a preset with heartbeats or
    simplification on still reports its preset name. *)
 let name_of t =
   match
@@ -250,10 +246,8 @@ let name_of t =
       (fun (_, p) ->
         { p with
           seed = t.seed;
-          trace_jsonl = t.trace_jsonl;
           heartbeat_interval = t.heartbeat_interval;
           profile_timers = t.profile_timers;
-          debug_top_cursor = t.debug_top_cursor;
           simplify = t.simplify;
           simplify_growth = t.simplify_growth;
         }

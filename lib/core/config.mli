@@ -120,11 +120,6 @@ type t = {
           procedure considers (1 in the paper; Remark 2 proposes
           examining "a small set of conflict clauses that are close to
           the current top of the stack") *)
-  debug_top_cursor : bool;
-      (** cross-check every cursor-backed top-clause lookup against
-          the naive full stack scan and fail loudly on any mismatch;
-          off by default (the check re-reads the whole learnt stack
-          per decision, exactly the cost the cursor removes) *)
   ccmin_mode : ccmin_mode;
       (** conflict-clause minimization at learn time ([Ccmin_off] in
           the paper's configuration); see {!ccmin_mode} *)
@@ -134,10 +129,6 @@ type t = {
           polarity heuristic for variables that have been assigned
           before; off in the paper's configuration *)
   seed : int;
-  trace_jsonl : string option;
-      (** when set, {!Solver.create} opens a JSONL trace sink on this
-          path (see {!Trace}); [None] — the default everywhere — keeps
-          tracing disabled at zero cost *)
   heartbeat_interval : int;
       (** emit a {!Trace.event.Heartbeat} every this many conflicts
           (0 = off); only visible when a trace sink is attached *)
@@ -153,6 +144,13 @@ type t = {
           beyond the clauses it removes (default 0: elimination must
           never grow the database) *)
 }
+(** Every field but two sets the search.  [heartbeat_interval] and
+    [profile_timers] only observe; they stay here for now because moving
+    them would add two [Portfolio] arguments, and the live view and
+    per-layer timing planned in ROADMAP items 7 and 4 replace them
+    outright.  Nothing else that observes a search is configured here: a
+    trace is attached with {!Solver.set_trace_sink}, and the top-clause
+    cursor is audited with {!Solver.top_cursor_violations}. *)
 
 val berkmin : t
 (** The paper's default configuration. *)
@@ -214,10 +212,10 @@ val reduction_mode_of_string : string -> reduction_mode option
 
 val name_of : t -> string
 (** The name of the preset [t] matches, else ["custom"].  The match
-    ignores the observability and simplifier fields ([seed],
-    [trace_jsonl], [heartbeat_interval], [profile_timers],
-    [debug_top_cursor], [simplify], [simplify_growth]): they are
-    orthogonal toggles layered on a preset. *)
+    ignores [seed], the observation fields ([heartbeat_interval],
+    [profile_timers]) and the simplifier fields ([simplify],
+    [simplify_growth]): they are orthogonal toggles layered on a
+    preset. *)
 
 val presets : (string * t) list
 (** All named presets, for CLIs and the bench harness. *)

@@ -223,8 +223,9 @@ let attach s c =
 
    Every clause enters the database through [store].  What happens
    before it is each caller's policy:
-   - [create] and [load] normalize ([load_clause]) and never filter at
-     the root: their units are enqueued but not yet propagated;
+   - construction ([create], [load]) normalizes ([load_clause]) and
+     never filters at the root: units are enqueued but not yet
+     propagated, and watches are attached in one pass at the end;
    - [add_clause] and [import_clause] normalize, then [root_filter]
      against the level-0 assignment, and an empty remainder makes the
      formula UNSAT;
@@ -319,9 +320,10 @@ let store s ?imported ~learnt ~glue ~watch lits len =
   Stats.note_live_clauses s.stats (s.n_original + Ivec.length s.learnt);
   c
 
-(* Load-time intake of one original clause, shared by [create] and
-   [load], so both build the same database from the same formula. *)
-let load_clause s ~watch lits n =
+(* Construction-time intake of one original clause, for [create] and
+   [load] alike.  The clause is stored unwatched: construction attaches
+   every watch in one pass once the last clause is in. *)
+let load_clause s lits n =
   let m = normalize lits n in
   if m >= 0 then begin
     s.n_original <- s.n_original + 1;
@@ -332,7 +334,7 @@ let load_clause s ~watch lits n =
       | Value.True -> ()
       | Value.False -> s.ok <- false
       | Value.Unassigned -> enqueue s lits.(0) Arena.cref_undef)
-    | _ -> ignore (store s ~learnt:false ~glue:0 ~watch lits m)
+    | _ -> ignore (store s ~learnt:false ~glue:0 ~watch:false lits m)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1128,25 +1130,14 @@ let scan_top_clauses s start =
    the scan may resume at the cached [top_cursor] instead of the stack
    top.  Learning, backtracking and stack reshuffles reset the cursor
    (see {!backtrack} / {!record_learnt} / {!reduce_db}), making the
-   skipped prefix sound by construction.  [debug_top_cursor] replays
-   the naive full scan and insists on identical picks. *)
+   skipped prefix sound by construction; {!top_cursor_violations}
+   audits exactly that. *)
 let find_top_clauses s =
   let n = Ivec.length s.learnt in
   if s.top_cursor >= n then s.top_cursor <- n - 1;
   let found, first_unsat, steps = scan_top_clauses s s.top_cursor in
   s.top_cursor <- first_unsat;
   s.stats.top_cursor_steps <- s.stats.top_cursor_steps + steps;
-  if s.cfg.debug_top_cursor then begin
-    let naive, _, _ = scan_top_clauses s (n - 1) in
-    if naive <> found then
-      failwith
-        (Printf.sprintf
-           "top-clause cursor out of sync: cursor pick [%s], naive pick [%s]"
-           (String.concat ";"
-              (List.map (fun (c, d) -> Printf.sprintf "%d@%d" c d) found))
-           (String.concat ";"
-              (List.map (fun (c, d) -> Printf.sprintf "%d@%d" c d) naive)))
-  end;
   found
 
 (* Most active free variable: the linear scan the paper benchmarked
@@ -1542,76 +1533,23 @@ let restart s =
   drain_imports s
 
 (* ------------------------------------------------------------------ *)
-(* Construction.                                                       *)
+(* Invariant audits (tests).                                           *)
 
-let create ?(config = Config.berkmin) cnf =
-  let nvars = Cnf.num_vars cnf in
-  let nlits = max (2 * nvars) 1 in
-  let var_act = Array.make (max nvars 1) 0.0 in
-  let tracer = Trace.create () in
-  (match config.Config.trace_jsonl with
-  | Some path -> Trace.set_sink tracer (Trace.open_jsonl path)
-  | None -> ());
-  let s = {
-    cfg = config;
-    stats = Stats.create ();
-    tracer;
-    rng = Rng.create config.Config.seed;
-    nvars;
-    n_original = 0;
-    arena = Arena.create ~capacity:4096 ();
-    original = Ivec.create ();
-    learnt = Ivec.create ();
-    learnt_glue = Ivec.create ();
-    watches = Array.init nlits (fun _ -> Ivec.create ~capacity:8 ());
-    binary = Binary.create ~num_lits:nlits;
-    vals = Array.make nlits Value.Unassigned;
-    level = Array.make (max nvars 1) 0;
-    reason = Array.make (max nvars 1) Arena.cref_undef;
-    trail = Ivec.create ();
-    trail_lim = Ivec.create ();
-    qhead = 0;
-    bin_qhead = 0;
-    top_cursor = -1;
-    assign_epoch = 0;
-    nb_memo = Array.make nlits 0;
-    nb_memo_epoch = Array.make nlits (-1);
-    var_act;
-    lit_act = Array.make nlits 0;
-    vsids = Array.make nlits 0.0;
-    saved_phase = Array.make (max nvars 1) Value.Unassigned;
-    seen = Array.make (max nvars 1) false;
-    level_stamp = Array.make (max nvars 1) 0;
-    glue_stamp = 0;
-    assumptions = [||];
-    last_core = None;
-    old_threshold = config.Config.old_activity_threshold;
-    restart_epoch = 0;
-    conflicts_at_restart = 0;
-    last_var_decay = 0;
-    last_vsids_decay = 0;
-    proof = None;
-    on_decision = None;
-    on_minimize = None;
-    on_learn = None;
-    import_source = None;
-    import_seen = Hashtbl.create 64;
-    verdict = None;
-    eliminated = Array.make (max nvars 1) false;
-    elim_stack = [];
-    simplify_pre_done = false;
-    ok = true;
-  } in
-  Cnf.iter
-    (fun clause ->
-      let lits = Clause.to_array clause in
-      load_clause s ~watch:true lits (Array.length lits))
-    cnf;
-  Stats.note_live_clauses s.stats s.n_original;
-  s
-
-(* ------------------------------------------------------------------ *)
-(* Watch-list invariant audit (tests).                                 *)
+(* The invariant [find_top_clauses] relies on: every learnt clause
+   strictly above [top_cursor] is satisfied.  O(learnt clauses). *)
+let top_cursor_violations s =
+  let errs = ref [] in
+  for i = Ivec.length s.learnt - 1 downto s.top_cursor + 1 do
+    let c = Ivec.get s.learnt i in
+    if not (clause_satisfied s c) then
+      errs :=
+        Printf.sprintf
+          "learnt clause %d (cref %d) is above the top-clause cursor %d but \
+           unsatisfied"
+          i c s.top_cursor
+        :: !errs
+  done;
+  !errs
 
 let watch_invariant_violations s =
   if not s.ok then []
@@ -1718,7 +1656,7 @@ let watch_invariant_violations s =
         err "var %d: literal values %s/%s are not complementary" v
           (Value.to_string p) (Value.to_string n)
     done;
-    List.rev !errs
+    List.rev_append !errs (top_cursor_violations s)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1922,38 +1860,40 @@ let unsat_core s = s.last_core
    across calls — that retention is the whole point: related queries
    amortize each other's search. *)
 
-(* Widen every per-variable and per-literal array to cover [n]
-   variables. *)
-let ensure_var_capacity s n =
+(* Grow the solver to [n] variables (no-op when it has as many): every
+   per-variable and per-literal array widens to cover them. *)
+let declare_vars s n =
   let grow_arr a fill cap =
     let b = Array.make cap fill in
     Array.blit a 0 b 0 (Array.length a);
     b
   in
-  let vcap = Array.length s.level in
-  if n > vcap then begin
-    let cap = max n (2 * vcap) in
-    s.level <- grow_arr s.level 0 cap;
-    s.reason <- grow_arr s.reason Arena.cref_undef cap;
-    s.seen <- grow_arr s.seen false cap;
-    s.eliminated <- grow_arr s.eliminated false cap;
-    s.saved_phase <- grow_arr s.saved_phase Value.Unassigned cap;
-    s.var_act <- grow_arr s.var_act 0.0 cap
-  end;
-  let lcap = Array.length s.lit_act in
-  if 2 * n > lcap then begin
-    let cap = max (2 * n) (2 * lcap) in
-    s.vals <- grow_arr s.vals Value.Unassigned cap;
-    s.lit_act <- grow_arr s.lit_act 0 cap;
-    s.vsids <- grow_arr s.vsids 0.0 cap;
-    s.nb_memo <- grow_arr s.nb_memo 0 cap;
-    s.nb_memo_epoch <- grow_arr s.nb_memo_epoch (-1) cap;
-    let watches =
-      Array.init cap (fun i ->
-          if i < Array.length s.watches then s.watches.(i)
-          else Ivec.create ~capacity:8 ())
-    in
-    s.watches <- watches
+  if n > s.nvars then begin
+    let vcap = Array.length s.level in
+    if n > vcap then begin
+      let cap = max n (2 * vcap) in
+      s.level <- grow_arr s.level 0 cap;
+      s.reason <- grow_arr s.reason Arena.cref_undef cap;
+      s.seen <- grow_arr s.seen false cap;
+      s.eliminated <- grow_arr s.eliminated false cap;
+      s.saved_phase <- grow_arr s.saved_phase Value.Unassigned cap;
+      s.var_act <- grow_arr s.var_act 0.0 cap
+    end;
+    let lcap = Array.length s.lit_act in
+    if 2 * n > lcap then begin
+      let cap = max (2 * n) (2 * lcap) in
+      s.vals <- grow_arr s.vals Value.Unassigned cap;
+      s.lit_act <- grow_arr s.lit_act 0 cap;
+      s.vsids <- grow_arr s.vsids 0.0 cap;
+      s.nb_memo <- grow_arr s.nb_memo 0 cap;
+      s.nb_memo_epoch <- grow_arr s.nb_memo_epoch (-1) cap;
+      s.watches <-
+        Array.init cap (fun i ->
+            if i < Array.length s.watches then s.watches.(i)
+            else Ivec.create ~capacity:8 ())
+    end;
+    s.nvars <- n;
+    Binary.grow s.binary ~num_lits:(2 * n)
   end
 
 (* A definitive UNSAT is monotone under clause/variable addition and is
@@ -1967,9 +1907,7 @@ let new_var s =
   backtrack s 0;
   invalidate_verdict s;
   let v = s.nvars in
-  ensure_var_capacity s (v + 1);
-  s.nvars <- v + 1;
-  Binary.grow s.binary ~num_lits:(2 * s.nvars);
+  declare_vars s (v + 1);
   v
 
 let add_clause s lits =
@@ -2002,92 +1940,144 @@ let add_clause s lits =
     end
 
 (* ------------------------------------------------------------------ *)
-(* Bulk load: the formula streamed straight from DIMACS into the
-   solver, bypassing the [Cnf.t] round-trip entirely.  The [p cnf V C]
-   header pre-sizes every per-variable structure and the arena in one
-   step, so the load loop allocates nothing but the clauses themselves;
-   each clause goes from the parser's scratch buffer into the arena
-   with one [Array.blit].  Every clause passes through [load_clause],
-   as in [create], so the result is indistinguishable from
-   [create (Dimacs.parse_* ...)]; only watch attachment is deferred. *)
+(* Construction.  [create] and [load] run one routine, [build]:
+   1. size the per-variable state and the original-clause list once
+      ([presize]), from the [Cnf.t]'s counts or from the [p cnf V C]
+      header; headerless DIMACS grows the variables as clauses mention
+      them;
+   2. take each clause in through [load_clause], unwatched;
+   3. attach every watch in one pass ([attach_all]).
+   What observes a solver (trace sink, proof logger, hooks) is
+   attached to the result, never during construction. *)
 
-(* Arena pre-sizing guess: header + 4 literals per declared clause
-   (generous for random 3-SAT and typical industrial width); an
-   undershoot just falls back to the doubling ladder from there. *)
-let presize_clause_words = Arena.header_words + 4
+let presize s ~vars ~clauses =
+  declare_vars s vars;
+  Ivec.reserve s.original clauses
 
-let load ?config source =
-  let t0 = Unix.gettimeofday () in
-  let s = create ?config (Cnf.create ()) in
-  let literals = ref 0 in
-  (* Headered files declare all variables once; headerless files grow
-     them as clauses mention them (matching [Cnf.ensure_vars]). *)
-  let declare_vars v =
-    if v > s.nvars then begin
-      ensure_var_capacity s v;
-      s.nvars <- v;
-      Binary.grow s.binary ~num_lits:(2 * v)
-    end
-  in
-  let on_header ~vars ~clauses =
-    declare_vars vars;
-    Arena.ensure_capacity s.arena
-      ~words:(Arena.capacity_words s.arena + (clauses * presize_clause_words));
-    Ivec.reserve s.original clauses
-  in
-  let (), scratch_words =
-    Dimacs.fold_clauses_scratch ~on_header source ~init:()
-      ~f:(fun () lits n ->
-        literals := !literals + n;
-        let maxv = ref 0 in
-        for j = 0 to n - 1 do
-          let v = Lit.var lits.(j) + 1 in
-          if v > !maxv then maxv := v
-        done;
-        declare_vars !maxv;
-        (* Attachment is deferred: pushing two watchers per clause into
-           randomly-addressed, growth-reallocating lists while streaming
-           is the bulk path's hottest cost.  The arena already holds
-           everything a later pass needs. *)
-        load_clause s ~watch:false lits n)
-  in
-  (* Bulk attachment, clause order preserved so the watch lists come
-     out element-for-element identical to [create]'s: one sequential
-     pass counts watchers per literal, [Ivec.reserve] sizes every list
-     exactly, and the attach pass then never reallocates. *)
+(* Clause order is preserved, so every watch list comes out element for
+   element as attaching clause by clause would leave it: one sequential
+   pass counts watchers per literal, [Ivec.reserve] sizes every list
+   exactly, and the attach pass then never reallocates. *)
+let attach_all s =
+  let long c = Arena.clause_size s.arena c >= 3 in
   let counts = Array.make (2 * s.nvars) 0 in
   Ivec.iter
     (fun c ->
-      if Arena.clause_size s.arena c >= 3 then begin
+      if long c then begin
         (* each watcher is two ints: blocker + cref *)
         let l0 = Arena.lit s.arena c 0 and l1 = Arena.lit s.arena c 1 in
         counts.(l0) <- counts.(l0) + 2;
         counts.(l1) <- counts.(l1) + 2
       end)
     s.original;
-  for l = 0 to (2 * s.nvars) - 1 do
-    if counts.(l) > 0 then
-      Ivec.reserve s.watches.(l) (Ivec.length s.watches.(l) + counts.(l))
-  done;
-  Ivec.iter
-    (fun c -> if Arena.clause_size s.arena c >= 3 then attach s c)
-    s.original;
+  Array.iteri
+    (fun l k -> if k > 0 then Ivec.reserve s.watches.(l) k)
+    counts;
+  Ivec.iter (fun c -> if long c then attach s c) s.original
+
+(* [intake s] presizes [s] and loads its clauses; its result is
+   returned beside the solver. *)
+let build ?(config = Config.berkmin) intake =
+  let s = {
+    cfg = config;
+    stats = Stats.create ();
+    tracer = Trace.create ();
+    rng = Rng.create config.Config.seed;
+    nvars = 0;
+    n_original = 0;
+    arena = Arena.create ~capacity:4096 ();
+    original = Ivec.create ();
+    learnt = Ivec.create ();
+    learnt_glue = Ivec.create ();
+    watches = [| Ivec.create ~capacity:8 () |];
+    binary = Binary.create ~num_lits:1;
+    vals = [| Value.Unassigned |];
+    level = [| 0 |];
+    reason = [| Arena.cref_undef |];
+    trail = Ivec.create ();
+    trail_lim = Ivec.create ();
+    qhead = 0;
+    bin_qhead = 0;
+    top_cursor = -1;
+    assign_epoch = 0;
+    nb_memo = [| 0 |];
+    nb_memo_epoch = [| -1 |];
+    var_act = [| 0.0 |];
+    lit_act = [| 0 |];
+    vsids = [| 0.0 |];
+    saved_phase = [| Value.Unassigned |];
+    seen = [| false |];
+    level_stamp = [| 0 |];
+    glue_stamp = 0;
+    assumptions = [||];
+    last_core = None;
+    old_threshold = config.Config.old_activity_threshold;
+    restart_epoch = 0;
+    conflicts_at_restart = 0;
+    last_var_decay = 0;
+    last_vsids_decay = 0;
+    proof = None;
+    on_decision = None;
+    on_minimize = None;
+    on_learn = None;
+    import_source = None;
+    import_seen = Hashtbl.create 64;
+    verdict = None;
+    eliminated = [| false |];
+    elim_stack = [];
+    simplify_pre_done = false;
+    ok = true;
+  } in
+  let r = intake s in
+  attach_all s;
   Stats.note_live_clauses s.stats s.n_original;
+  (s, r)
+
+(* [create]'s arena grows by doubling from its first 4096 words.  Sized
+   exactly from the formula's literal count, it would be copied whole
+   for the first learnt clause, which raised peak RSS on every
+   perfbench workload (docs/PERFORMANCE.md); the doubling ladder leaves
+   room for learnt clauses. *)
+let create ?config cnf =
+  fst
+    (build ?config (fun s ->
+         presize s ~vars:(Cnf.num_vars cnf) ~clauses:(Cnf.num_clauses cnf);
+         Cnf.iter
+           (fun clause ->
+             let lits = Clause.to_array clause in
+             load_clause s lits (Array.length lits))
+           cnf))
+
+(* [load] streams the formula straight from DIMACS, bypassing the
+   [Cnf.t] round-trip: each clause goes from the parser's scratch
+   buffer into the arena with one [Array.blit].  The header also sizes
+   the arena, by a guess of header + 4 literals per clause (generous
+   for random 3-SAT and typical industrial width); an undershoot falls
+   back to the doubling ladder from there. *)
+let presize_clause_words = Arena.header_words + 4
+
+let load ?config source =
+  let t0 = Unix.gettimeofday () in
+  let s, (literals, scratch_words) =
+    build ?config (fun s ->
+        Dimacs.fold_clauses_scratch source
+          ~on_header:(fun ~vars ~clauses ->
+            presize s ~vars ~clauses;
+            Arena.ensure_capacity s.arena
+              ~words:(Arena.capacity_words s.arena
+                     + (clauses * presize_clause_words)))
+          ~init:0
+          ~f:(fun literals lits n ->
+            for j = 0 to n - 1 do
+              declare_vars s (Lit.var lits.(j) + 1)
+            done;
+            load_clause s lits n;
+            literals + n))
+  in
   s.stats.load_clauses <- s.n_original;
-  s.stats.load_literals <- !literals;
+  s.stats.load_literals <- literals;
   s.stats.load_scratch_words <- scratch_words;
   s.stats.time_load <- Unix.gettimeofday () -. t0;
-  if Trace.active s.tracer then
-    Trace.emit s.tracer
-      (Trace.Load
-         {
-           vars = s.nvars;
-           clauses = s.n_original;
-           literals = !literals;
-           seconds = s.stats.time_load;
-           arena_bytes = Arena.bytes s.arena;
-           scratch_words;
-         });
   s
 
 let load_string ?config text = load ?config (Dimacs.From_string text)

@@ -41,25 +41,26 @@ val create : ?config:Config.t -> Cnf.t -> t
     no root filter: unit clauses are enqueued as they arrive but not yet
     propagated, so later clauses are stored in full, and a unit
     contradicting an earlier one makes the formula UNSAT.  Default
-    configuration is {!Config.berkmin}. *)
+    configuration is {!Config.berkmin}.  [create] and {!load} share one
+    construction: size the per-variable state once, take each clause
+    in, attach every watch in one pass.  Trace sinks, proof loggers and
+    hooks are attached to the returned solver. *)
 
 val load : ?config:Config.t -> Berkmin_dimacs.Dimacs.source -> t
 (** Streams a DIMACS formula straight into a fresh solver — the
-    large-instance fast path.  Each clause goes through the same
-    load-time intake as in {!create} (normalization, no root filter),
-    so the behaviour is identical to [create (Dimacs.parse_file ...)]
-    (same database, same verdicts, same
-    {!Berkmin_dimacs.Dimacs.Parse_error}s); only the watches are
-    attached in one pass at the end.  No {!Cnf.t} is materialized:
-    the [p cnf V C] header pre-sizes the
-    arena, watch lists, binary index and every per-variable structure
-    in one step, and each clause moves from the parser's scratch
-    buffer into the arena with a single blit.  Peak heap beyond the
-    solver's own state is O(read chunk + largest clause), never
-    O(file).  Parse+load wall time, literal counts and the final
-    scratch size land in {!Stats.t} ([time_load], [load_clauses],
-    [load_literals], [load_scratch_words]) and a
-    {!Trace.event.Load} event. *)
+    large-instance fast path.  It runs {!create}'s construction, so the
+    result is identical to [create (Dimacs.parse_file ...)] (same
+    database, same verdicts, same
+    {!Berkmin_dimacs.Dimacs.Parse_error}s), but no {!Cnf.t} is
+    materialized: the [p cnf V C] header sizes the solver and its
+    clause arena (a headerless file grows them as clauses arrive), and
+    each clause moves from the parser's scratch buffer into the arena
+    with a single blit.  Peak heap beyond the solver's own state is
+    O(read chunk + largest clause), never O(file).  Parse+load wall
+    time, literal counts and the final scratch size land in
+    {!Stats.t} ([time_load], [load_clauses], [load_literals],
+    [load_scratch_words]); a solver built by {!create} leaves them at
+    0. *)
 
 val load_string : ?config:Config.t -> string -> t
 (** {!load} over an in-memory DIMACS document. *)
@@ -129,12 +130,12 @@ val unsat_core : t -> Lit.t list option
 val stats : t -> Stats.t
 
 val trace : t -> Trace.t
-(** The solver's trace stream.  Created with the [Null] sink unless
-    {!Config.t.trace_jsonl} is set. *)
+(** The solver's trace stream, created with the [Null] sink. *)
 
 val set_trace_sink : t -> Trace.sink -> unit
-(** Installs a trace sink (replacing any existing one).  Install before
-    [solve] to capture the whole search. *)
+(** Installs a trace sink (replacing any existing one); a JSONL file is
+    [set_trace_sink s (Trace.open_jsonl path)].  Install before [solve]
+    to capture the whole search. *)
 
 val close_trace : t -> unit
 (** Closes a JSONL trace channel, if any, and disables tracing. *)
@@ -265,7 +266,15 @@ val watch_invariant_violations : t -> string list
     indexed exactly once in each direction and never watched; every
     index entry matches a live 2-clause in the arena; and the two
     literals of every variable are both unassigned or hold opposite
-    values.  O(database size); for tests. *)
+    values; and {!top_cursor_violations} finds none.  O(database
+    size); for tests. *)
+
+val top_cursor_violations : t -> string list
+(** Audits the invariant the top-clause cursor relies on: every learnt
+    clause above it is satisfied, so resuming the scan there picks what
+    a scan from the stack top would (paper Section 5).  One description
+    per violation (empty = healthy).  O(learnt clauses); for tests,
+    e.g. from {!set_decision_hook} at every decision. *)
 
 val solve_cnf : ?config:Config.t -> ?budget:budget -> Cnf.t -> result
 (** One-shot convenience wrapper. *)

@@ -256,16 +256,18 @@ let counters =
     timer "time_reduce" "CPU seconds in DB reduction, under `--profile`"
       (fun t -> t.time_reduce);
     count "load_clauses"
-      "clauses stored by the bulk-load path (`Solver.load`), tautologies \
-       excluded" (fun t -> t.load_clauses);
+      "clauses a solver streamed from DIMACS (`Solver.load`) stored, \
+       tautologies excluded; 0 when built from a `Cnf.t` (`Solver.create`)"
+      (fun t -> t.load_clauses);
     count "load_literals"
-      "literals the bulk-load path read from the DIMACS text" (fun t ->
-        t.load_literals);
+      "literals `Solver.load` read from the DIMACS text; 0 after \
+       `Solver.create`" (fun t -> t.load_literals);
     count "load_scratch_words"
-      "final parser scratch capacity: the largest-clause term of the \
-       streaming memory bound" (fun t -> t.load_scratch_words);
-    timer "time_load" "wall-clock seconds of the streaming parse and bulk load"
-      (fun t -> t.time_load);
+      "final parser scratch capacity of `Solver.load`: the largest-clause \
+       term of the streaming memory bound" (fun t -> t.load_scratch_words);
+    timer "time_load"
+      "wall-clock seconds of `Solver.load`: streaming parse, clause intake \
+       and watch attachment" (fun t -> t.time_load);
   ]
 
 let member t c =

@@ -45,14 +45,6 @@ type event =
       seconds : float;
     }
   | Share of { direction : share_direction; size : int; glue : int }
-  | Load of {
-      vars : int;
-      clauses : int;
-      literals : int;
-      seconds : float;
-      arena_bytes : int;
-      scratch_words : int;
-    }
   | Warn of { message : string }
   | Server_request of {
       session : string;
@@ -189,17 +181,6 @@ let event_fields = function
         "direction", Json.String (direction_to_string direction);
         "size", Json.Int size;
         "glue", Json.Int glue;
-      ]
-  | Load { vars; clauses; literals; seconds; arena_bytes; scratch_words } ->
-    Json.Obj
-      [
-        "event", Json.String "load";
-        "vars", Json.Int vars;
-        "clauses", Json.Int clauses;
-        "literals", Json.Int literals;
-        "seconds", Json.Float seconds;
-        "arena_bytes", Json.Int arena_bytes;
-        "scratch_words", Json.Int scratch_words;
       ]
   | Warn { message } ->
     Json.Obj

@@ -75,18 +75,6 @@ type event =
       (** one learnt clause crossing the portfolio exchange: exported
           through the length/glue filter, or imported (after
           simplification and dedup) at a restart boundary *)
-  | Load of {
-      vars : int;
-      clauses : int;  (** clauses stored (tautologies excluded) *)
-      literals : int;  (** literals read from the stream *)
-      seconds : float;  (** parse+load wall-clock time *)
-      arena_bytes : int;
-      scratch_words : int;
-          (** final parser scratch capacity — the O(largest clause)
-              term of the streaming memory bound *)
-    }
-      (** one bulk load ({!Solver.load}): the formula streamed straight
-          from DIMACS into pre-sized solver state *)
   | Warn of { message : string }
       (** a broken-but-survivable invariant the solver degraded
           around instead of aborting *)

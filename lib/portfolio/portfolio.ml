@@ -231,6 +231,10 @@ let install_import solver down_rd =
         List.rev !imports
       end)
 
+let attach_trace solver = function
+  | Some path -> Solver.set_trace_sink solver (Trace.open_jsonl path)
+  | None -> ()
+
 let run_child ~hook ~share ~trace_path ~index spec cnf ~up_wr ~down_rd =
   let code =
     try
@@ -239,8 +243,8 @@ let run_child ~hook ~share ~trace_path ~index spec cnf ~up_wr ~down_rd =
          (handled) beats dying on SIGPIPE. *)
       Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
       (match hook with Some h -> h index | None -> ());
-      let config = { spec.sp_config with Config.trace_jsonl = trace_path } in
-      let solver = Solver.create ~config cnf in
+      let solver = Solver.create ~config:spec.sp_config cnf in
+      attach_trace solver trace_path;
       Trace.set_worker (Solver.trace solver) index;
       Option.iter
         (fun (max_len, max_glue) ->
@@ -493,12 +497,8 @@ let fork_race ~wall_timeout ~share ~worker_hook ~trace_jsonl specs cnf =
 (* Entry points.                                                       *)
 
 let sequential ~trace_jsonl spec cnf =
-  let config =
-    match trace_jsonl with
-    | Some path -> { spec.sp_config with Config.trace_jsonl = Some path }
-    | None -> spec.sp_config
-  in
-  let solver = Solver.create ~config cnf in
+  let solver = Solver.create ~config:spec.sp_config cnf in
+  attach_trace solver trace_jsonl;
   let started = Unix.gettimeofday () in
   let result = Solver.solve ~budget:spec.sp_budget solver in
   let wall = Unix.gettimeofday () -. started in
@@ -557,14 +557,15 @@ let solve_specs ?wall_timeout ?(share = true) ?(share_max_len = 8)
     fork_race ~wall_timeout ~share ~worker_hook ~trace_jsonl specs cnf
 
 let solve_config ?(budget = Solver.no_budget) ?(workers = 1) ?diversify:lanes
-    ?wall_timeout ?share ?share_max_len ?share_max_glue config cnf =
+    ?wall_timeout ?share ?share_max_len ?share_max_glue ?trace_jsonl config cnf
+    =
   let specs =
     List.map
       (fun sp_config -> { sp_config; sp_budget = budget })
       (diversify ?diversify:lanes ~workers config)
   in
-  solve_specs ?wall_timeout ?share ?share_max_len ?share_max_glue
-    ?trace_jsonl:config.Config.trace_jsonl specs cnf
+  solve_specs ?wall_timeout ?share ?share_max_len ?share_max_glue ?trace_jsonl
+    specs cnf
 
 (* ------------------------------------------------------------------ *)
 (* JSON.                                                               *)

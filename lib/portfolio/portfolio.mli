@@ -131,9 +131,8 @@ val solve_specs :
     a hook that calls [exit 2] or raises [Sys.sigkill] simulates a
     crashed worker); passing a hook forces forking even for a single
     worker.  [trace_jsonl] routes each worker's trace to [path.w<i>]
-    and merges them into [path] afterwards; any trace path inside the
-    specs' configurations is ignored in favour of this per-worker
-    scheme.
+    and merges them into [path] afterwards; a single unforked worker
+    traces straight to [path].
 
     SAT models are re-verified in the parent; a worker returning a
     model that does not satisfy the formula is treated as crashed and
@@ -149,15 +148,15 @@ val solve_config :
   ?share:bool ->
   ?share_max_len:int ->
   ?share_max_glue:int ->
+  ?trace_jsonl:string ->
   Berkmin.Config.t ->
   Cnf.t ->
   outcome
 (** The high-level entry point the CLI and harness use: races
     [diversify ?diversify ~workers config] (default one worker, which
     solves in this process), every worker under [budget] (default
-    {!Berkmin.Solver.no_budget}) and traced to
-    {!Berkmin.Config.t.trace_jsonl}.  The other settings are
-    {!solve_specs}'s.
+    {!Berkmin.Solver.no_budget}).  The other settings, [trace_jsonl]
+    among them, are {!solve_specs}'s.
     @raise Invalid_argument as {!diversify} and {!solve_specs} do. *)
 
 val status_to_string : status -> string

@@ -321,14 +321,19 @@ let serve_socket_until t ~path ~ready =
     | () -> ()
     | exception Unix.Unix_error _ -> ()
   in
+  (* A client that hangs up before its reply must cost only its own
+     connection: with SIGPIPE ignored, the write fails with EPIPE and
+     the connection is closed, where the signal would end the daemon. *)
+  let old_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   let finish () =
     Hashtbl.iter (fun _ c -> close_conn c) conns;
     (match Unix.close srv with
     | () -> ()
     | exception Unix.Unix_error _ -> ());
-    match Unix.unlink path with
+    (match Unix.unlink path with
     | () -> ()
-    | exception Unix.Unix_error _ -> ()
+    | exception Unix.Unix_error _ -> ());
+    Sys.set_signal Sys.sigpipe old_sigpipe
   in
   Fun.protect ~finally:finish (fun () ->
       Unix.bind srv (Unix.ADDR_UNIX path);

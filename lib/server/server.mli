@@ -69,7 +69,10 @@ val serve_socket : t -> path:string -> unit
     connected clients through one [select] loop.  Each client speaks
     the same line protocol; responses are written before the next
     request — of any client — is read, so solver state is never
-    interleaved.  The socket file is unlinked on return. *)
+    interleaved.  A client that hangs up before its reply loses only
+    its connection: SIGPIPE is ignored while the loop runs and the
+    previous handler restored on return.  The socket file is unlinked
+    on return. *)
 
 val serve_socket_until :
   t -> path:string -> ready:(unit -> unit) -> unit

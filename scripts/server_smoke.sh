@@ -14,8 +14,8 @@
 #   2. the per-request trace the daemon wrote contains one
 #      server_request event per scripted request, with conflict and
 #      latency fields;
-#   3. the daemon exited by itself on the scripted shutdown — no
-#      orphan process, no stale socket file.
+#   3. the daemon exited by itself on the scripted shutdown, with
+#      status 0 — no orphan process, no stale socket file.
 #
 # On failure the trace is left in $SMOKE_DIR for CI to upload.
 set -euo pipefail
@@ -98,7 +98,12 @@ if kill -0 "$DAEMON" 2>/dev/null; then
   echo "server_smoke: daemon still running after scripted shutdown" >&2
   exit 1
 fi
-wait "$DAEMON" 2>/dev/null || true
+STATUS=0
+wait "$DAEMON" || STATUS=$?
+if [ "$STATUS" -ne 0 ]; then
+  echo "server_smoke: daemon exited with status $STATUS" >&2
+  exit 1
+fi
 if [ -e "$SOCKET" ]; then
   echo "server_smoke: socket file survived shutdown" >&2
   exit 1

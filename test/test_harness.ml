@@ -158,10 +158,8 @@ let test_config_presets_distinct () =
             name (Berkmin.Config.name_of c))
         [
           "seed", { c with seed = c.seed + 7 };
-          "trace_jsonl", { c with trace_jsonl = Some "trace.jsonl" };
           "heartbeat_interval", { c with heartbeat_interval = 10 };
           "profile_timers", { c with profile_timers = true };
-          "debug_top_cursor", { c with debug_top_cursor = true };
           "simplify", { c with simplify = Simp_inprocess };
           "simplify_growth", { c with simplify_growth = 5 };
         ];

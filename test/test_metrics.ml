@@ -216,9 +216,10 @@ let test_trace_jsonl_sink () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let config = { Config.berkmin with trace_jsonl = Some path } in
-      let solver, result = solve_hole ~config 6 in
-      check Alcotest.bool "unsat" true (result = Solver.Unsat);
+      let inst = Berkmin_gen.Pigeonhole.instance 6 5 in
+      let solver = Solver.create inst.Berkmin_gen.Instance.cnf in
+      Solver.set_trace_sink solver (Trace.open_jsonl path);
+      check Alcotest.bool "unsat" true (Solver.solve solver = Solver.Unsat);
       Solver.close_trace solver;
       check Alcotest.bool "sink closed" false
         (Trace.active (Solver.trace solver));
@@ -264,31 +265,39 @@ let test_trace_heartbeat () =
       check Alcotest.bool "propagations monotone" true (propagations > 0))
     !beats
 
-(* The Statistics table of docs/OBSERVABILITY.md as (field, meaning)
-   pairs: the rows between its heading and the end of the table. *)
-let stats_doc_rows () =
+(* The rows of the first table after [heading] in docs/OBSERVABILITY.md,
+   each split into its trimmed cells. *)
+let doc_table heading =
   let text =
     In_channel.with_open_text "../docs/OBSERVABILITY.md" In_channel.input_all
   in
   let rec section = function
-    | [] -> Alcotest.fail "no Statistics section in docs/OBSERVABILITY.md"
-    | l :: rest ->
-      if l = "## Statistics object (`Stats.to_json`)" then rest
-      else section rest
+    | [] -> Alcotest.failf "no %S section in docs/OBSERVABILITY.md" heading
+    | l :: rest -> if l = heading then rest else section rest
   in
   let rec table acc = function
     | l :: rest when String.length l > 0 && l.[0] = '|' -> table (l :: acc) rest
     | _ :: rest when acc = [] -> table acc rest
     | _ -> List.rev acc
   in
-  List.filter_map
-    (fun line ->
-      match List.map String.trim (String.split_on_char '|' line) with
-      | [ ""; field; _; meaning; "" ]
-        when String.length field > 2 && field.[0] = '`' ->
-        Some (String.sub field 1 (String.length field - 2), meaning)
-      | _ -> None)
+  List.map
+    (fun line -> List.map String.trim (String.split_on_char '|' line))
     (table [] (section (String.split_on_char '\n' text)))
+
+(* The name in a cell that holds one backquoted name. *)
+let code_cell c =
+  if String.length c > 2 && c.[0] = '`' then
+    Some (String.sub c 1 (String.length c - 2))
+  else None
+
+(* The Statistics table as (field, meaning) pairs. *)
+let stats_doc_rows () =
+  List.filter_map
+    (function
+      | [ ""; field; _; meaning; "" ] ->
+        Option.map (fun f -> (f, meaning)) (code_cell field)
+      | _ -> None)
+    (doc_table "## Statistics object (`Stats.to_json`)")
 
 let test_stats_select_unknown () =
   Alcotest.check_raises "unknown name"
@@ -314,6 +323,91 @@ let test_stats_docs_table () =
         Alcotest.(option string)
         (name ^ " meaning") (Some meaning) (List.assoc_opt name rows))
     Stats.counters
+
+(* One sample of every trace event, chained through an exhaustive match
+   with no wildcard: a new constructor does not compile until it joins
+   the chain, and [test_trace_docs_table] then wants its row. *)
+let rec trace_samples (e : Trace.event) =
+  e
+  ::
+  (match e with
+  | Decide _ -> trace_samples (Propagate { level = 1; lit = 2 })
+  | Propagate _ -> trace_samples (Conflict { level = 1; conflict_no = 1 })
+  | Conflict _ ->
+    trace_samples (Learn { size = 2; asserting = 3; backjump_level = 0 })
+  | Learn _ -> trace_samples (Backjump { from_level = 1; to_level = 0 })
+  | Backjump _ ->
+    trace_samples (Restart { restart_no = 1; conflict_no = 550; seq_index = 1 })
+  | Restart _ ->
+    trace_samples
+      (Reduce_db
+         {
+           live_before = 10;
+           removed = 4;
+           threshold = 60;
+           glue_kept = 0;
+           glue_dropped = 0;
+         })
+  | Reduce_db _ ->
+    trace_samples
+      (Simplify
+         {
+           rounds = 1;
+           subsumed = 2;
+           strengthened = 1;
+           eliminated_vars = 0;
+           failed_literals = 0;
+           clauses_before = 10;
+           clauses_after = 8;
+         })
+  | Simplify _ ->
+    trace_samples
+      (Gc { reclaimed_bytes = 64; arena_bytes_before = 256; arena_bytes_after = 192 })
+  | Gc _ ->
+    trace_samples
+      (Heartbeat
+         {
+           conflict_no = 100;
+           decisions = 120;
+           propagations = 900;
+           learnt_live = 80;
+           seconds = 0.01;
+         })
+  | Heartbeat _ ->
+    trace_samples (Share { direction = Trace.S_export; size = 2; glue = 2 })
+  | Share _ -> trace_samples (Warn { message = "sample" })
+  | Warn _ ->
+    trace_samples
+      (Server_request
+         {
+           session = "s";
+           op = "solve";
+           status = "sat";
+           conflicts = 0;
+           propagations = 3;
+           latency_ms = 0.1;
+         })
+  | Server_request _ -> [])
+
+let test_trace_docs_table () =
+  let written =
+    List.map
+      (fun e ->
+        match Trace.event_to_json e with
+        | Json.Obj (("event", Json.String name) :: _) -> name
+        | json -> Alcotest.failf "event JSON shape: %s" (Json.to_string json))
+      (trace_samples
+         (Decide { level = 1; var = 0; value = true; kind = Trace.D_top_clause }))
+  in
+  let documented =
+    List.filter_map
+      (function _ :: name :: _ -> code_cell name | [] | [ _ ] -> None)
+      (doc_table "## Trace JSONL (`--trace FILE`)")
+  in
+  check
+    Alcotest.(list string)
+    "one row per event" (List.sort compare written)
+    (List.sort compare documented)
 
 (* ------------------------------------------------------------------ *)
 
@@ -344,5 +438,6 @@ let () =
           Alcotest.test_case "callback sink" `Quick test_trace_callback_sink;
           Alcotest.test_case "jsonl sink" `Quick test_trace_jsonl_sink;
           Alcotest.test_case "heartbeat" `Quick test_trace_heartbeat;
+          Alcotest.test_case "docs table" `Quick test_trace_docs_table;
         ] );
     ]

@@ -282,8 +282,9 @@ let test_invalid_settings () =
 let test_merged_trace () =
   let path = Filename.temp_file "portfolio_trace" ".jsonl" in
   let cnf = hole 5 in
-  let config = { Config.berkmin with trace_jsonl = Some path } in
-  let outcome = Portfolio.solve_config ~workers:2 config cnf in
+  let outcome =
+    Portfolio.solve_config ~workers:2 ~trace_jsonl:path Config.berkmin cnf
+  in
   check Alcotest.string "traced race still UNSAT" "UNSAT"
     (result_kind outcome.Portfolio.result);
   let ic = open_in path in
@@ -318,6 +319,26 @@ let test_merged_trace () =
   (* no stray per-worker files left behind *)
   check Alcotest.bool "worker files merged and removed" true
     (not (Sys.file_exists (path ^ ".w0") || Sys.file_exists (path ^ ".w1")))
+
+(* One worker solves in this process and traces straight to [path]:
+   the same events as a solver built and traced by hand, untagged. *)
+let test_sequential_trace () =
+  let path = Filename.temp_file "portfolio_trace" ".jsonl" in
+  let cnf = hole 5 in
+  let outcome =
+    Portfolio.solve_config ~trace_jsonl:path Config.berkmin cnf
+  in
+  let lines = In_channel.with_open_text path In_channel.input_lines in
+  Sys.remove path;
+  check Alcotest.string "traced solve UNSAT" "UNSAT"
+    (result_kind outcome.Portfolio.result);
+  let solver = Solver.create cnf in
+  let events = ref 0 in
+  Solver.set_trace_sink solver (Berkmin.Trace.Callback (fun _ -> incr events));
+  ignore (Solver.solve solver);
+  check Alcotest.int "one line per event" !events (List.length lines);
+  check Alcotest.bool "no worker tag" true
+    (List.for_all (fun l -> Json.member "worker" (Json.of_string l) = None) lines)
 
 (* ------------------------------------------------------------------ *)
 (* JSON shape.                                                         *)
@@ -368,6 +389,7 @@ let () =
       ( "observability",
         [
           Alcotest.test_case "merged trace" `Quick test_merged_trace;
+          Alcotest.test_case "sequential trace" `Quick test_sequential_trace;
           Alcotest.test_case "outcome json" `Quick test_outcome_json;
         ] );
     ]

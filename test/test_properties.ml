@@ -186,29 +186,48 @@ let prop_wide_clauses =
       done;
       solver_verdict cnf = oracle_verdict cnf)
 
+(* The first top-cursor violation seen at a decision of [s], if any:
+   a full rescan from the stack top would pass over every clause above
+   the cursor only if all of them are satisfied. *)
+let audit_cursor_at_decisions s =
+  let violation = ref None in
+  Solver.set_decision_hook s (fun _ _ ->
+      if !violation = None then
+        match Solver.top_cursor_violations s with
+        | [] -> ()
+        | v :: _ -> violation := Some v);
+  violation
+
+(* 3-SAT near the threshold, large enough that searches restart and
+   learn units, the moves after which a stale cursor would show. *)
+let cursor_cnf_gen =
+  QCheck.make
+    ~print:(fun (nv, nc, seed) -> Printf.sprintf "vars=%d clauses=%d seed=%d" nv nc seed)
+    QCheck.Gen.(
+      let* nv = 20 -- 45 in
+      let* ratio_pct = 400 -- 450 in
+      let* seed = 0 -- 1_000_000 in
+      return (nv, nv * ratio_pct / 100, seed))
+
 let prop_cursor_matches_naive =
-  (* The cached top-clause cursor must be invisible: under
-     [debug_top_cursor] the solver replays the naive full-stack scan
-     after every cursor-backed lookup and aborts on any divergence,
-     and the decision sequence — every (variable, value) pair, in
-     order — must be identical with the cursor check on and off. *)
+  (* The cached top-clause cursor must be invisible: at every decision,
+     no learnt clause above it may be unsatisfied, so the cursor-backed
+     scan picks what the naive full-stack scan would.  Checked under
+     the paper's window of one clause, a wider window, and the modern
+     pack's restarts and reductions. *)
   QCheck.Test.make ~name:"top-clause cursor picks the naive scan's decisions"
-    ~count:300 random_cnf_gen
+    ~count:300 cursor_cnf_gen
     (fun params ->
       let cnf = build params in
-      let run config =
-        let s = Solver.create ~config cnf in
-        let decisions = ref [] in
-        Solver.set_decision_hook s (fun v b -> decisions := (v, b) :: !decisions);
-        let verdict =
-          match Solver.solve s with
-          | Solver.Sat _ -> true
-          | Solver.Unsat -> false
-          | Solver.Unknown -> QCheck.Test.fail_report "unexpected Unknown"
-        in
-        (verdict, List.rev !decisions)
-      in
-      run { Config.berkmin with debug_top_cursor = true } = run Config.berkmin)
+      List.for_all
+        (fun config ->
+          let s = Solver.create ~config cnf in
+          let violation = audit_cursor_at_decisions s in
+          ignore (Solver.solve s);
+          match !violation with
+          | None -> true
+          | Some v -> QCheck.Test.fail_report v)
+        [ Config.berkmin; { Config.berkmin with top_window = 3 }; Config.modern ])
 
 let prop_deterministic =
   QCheck.Test.make ~name:"runs are reproducible" ~count:100 random_cnf_gen
@@ -275,13 +294,33 @@ let test_fuzz_differential_regression () =
   Alcotest.check Alcotest.bool "campaign decided UNSAT rounds" true
     (report.Fuzz_runner.unsat > 0)
 
+(* The CDCL engine with DRUP logging, like [Fuzz_oracle.cdcl], that
+   also audits the top-clause cursor at every decision and raises on a
+   violation: the campaign reports that as a crash. *)
+let cursor_audit_cdcl =
+  {
+    Fuzz_oracle.name = "cdcl:cursor-audit";
+    solve =
+      (fun cnf ->
+        let s = Solver.create cnf in
+        let proof = Drup.create () in
+        Solver.set_proof_logger s (Drup.record proof);
+        let violation = audit_cursor_at_decisions s in
+        let result = Solver.solve ~budget:Berkmin_harness.Runner.fuzz_budget s in
+        Option.iter failwith !violation;
+        match result with
+        | Solver.Sat m -> Fuzz_oracle.A_sat m
+        | Solver.Unsat -> Fuzz_oracle.A_unsat (Some proof)
+        | Solver.Unknown -> Fuzz_oracle.A_unknown);
+  }
+
 let test_fuzz_binary_layer_campaign () =
-  (* PR-5 regression tier: the binary implication layer reordered BCP
-     (binary implications drain before any long-clause watcher), so
-     this campaign races the new engine against its own cursor
-     cross-check, the pre-existing Chaff configuration and the DPLL
-     oracle.  Any verdict change, invalid model, bogus proof or crash
-     introduced by the new propagation order fails the round. *)
+  (* The binary implication layer reordered BCP (binary implications
+     drain before any long-clause watcher), so this campaign races the
+     engine under a top-clause cursor audit against the Chaff
+     configuration and the DPLL oracle.  Any verdict change, invalid
+     model, bogus proof, cursor violation or crash introduced by the
+     propagation order fails the round. *)
   let config =
     {
       Fuzz_runner.default with
@@ -291,8 +330,7 @@ let test_fuzz_binary_layer_campaign () =
         Some
           [
             Fuzz_oracle.cdcl ();
-            Fuzz_oracle.cdcl
-              ~config:{ Config.berkmin with debug_top_cursor = true } ();
+            cursor_audit_cdcl;
             Fuzz_oracle.cdcl ~config:Config.chaff ();
             Fuzz_oracle.dpll ();
           ];

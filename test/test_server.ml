@@ -1,8 +1,8 @@
 (* Server-layer tests: protocol parsing, in-process request servicing,
    session lifecycle, per-request budgets, per-request trace events,
    the bytes and allocation of a SAT reply, the socket loop's line
-   splitter, and a forked end-to-end socket round-trip with concurrent
-   clients. *)
+   splitter, and forked end-to-end socket round-trips: concurrent
+   clients, and a client that hangs up before its reply. *)
 
 open Berkmin_types
 module Protocol = Berkmin_server.Protocol
@@ -326,7 +326,12 @@ let test_sat_reply_bytes () =
     [ 0; 1; 9; 10; 99; 100; 10_001 ]
 
 (* Words allocated by [f ()], promoted words counted once. *)
+(* Words [f] allocates.  The minor heap is emptied first: a minor
+   collection inside [f] would otherwise book earlier allocations to
+   it, and where that collection falls moves with every allocation
+   made before the call. *)
 let allocated_words f =
+  Gc.minor ();
   let minor0, promoted0, major0 = Gc.counters () in
   let r = f () in
   let minor1, promoted1, major1 = Gc.counters () in
@@ -393,7 +398,10 @@ let test_split_long_line () =
 (* ------------------------------------------------------------------ *)
 (* End-to-end socket round-trip                                        *)
 
-let test_socket_concurrent_clients () =
+(* Fork a daemon serving a fresh socket, as [berkmin-serverd --socket]
+   does, and run [f path pid] against it; the daemon is killed if it is
+   still running afterwards. *)
+let with_socket_daemon f =
   let path =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -420,58 +428,92 @@ let test_socket_concurrent_clients () =
         (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
         (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
         try Unix.unlink path with Unix.Unix_error _ -> ())
-      (fun () ->
-        (* four concurrent connections, interleaved requests *)
-        let c1 = Client.connect ~path in
-        let c2 = Client.connect ~path in
-        let c3 = Client.connect ~path in
-        let c4 = Client.connect ~path in
-        Client.ping c4;
-        Client.open_session ~vars:3 c1 "shared";
-        Client.add_clauses c1 ~session:"shared"
-          [ [ Lit.of_dimacs 1; Lit.of_dimacs 2 ]; [ Lit.of_dimacs (-1); Lit.of_dimacs 3 ] ];
-        (* a second client works against the session the first opened *)
-        (match Client.solve c2 ~session:"shared" ~assumps:[ Lit.of_dimacs (-2) ] with
-        | Client.Sat m ->
-          check Alcotest.bool "assumption honoured" false m.(1)
-        | _ -> Alcotest.fail "expected SAT");
-        (match
-           Client.solve c3 ~session:"shared"
-             ~assumps:[ Lit.of_dimacs (-1); Lit.of_dimacs (-2) ]
-         with
-        | Client.Unsat (Some core) ->
-          check Alcotest.bool "non-empty core over the wire" true (core <> [])
-        | _ -> Alcotest.fail "expected UNSAT with core");
-        (* a reply larger than the 64 KB Unix.write_substring passes to
-           one write(2) *)
-        Client.open_session ~vars:20_000 c3 "wide";
-        (match
-           Client.solve c3 ~session:"wide" ~assumps:[ Lit.of_dimacs (-20_000) ]
-         with
-        | Client.Sat m ->
-          check Alcotest.int "one value per variable" 20_000 (Array.length m);
-          check Alcotest.bool "assumption honoured" false m.(19_999)
-        | _ -> Alcotest.fail "expected SAT");
-        let stats = Client.stats c1 ~session:"shared" in
-        check Alcotest.bool "stats carry clause count" true
-          (List.mem_assoc "clauses" stats);
-        Client.close_session c4 ~session:"shared";
-        Client.shutdown c2;
-        (* daemon must exit cleanly and remove its socket *)
-        let rec wait_exit tries =
-          match Unix.waitpid [ Unix.WNOHANG ] pid with
-          | 0, _ ->
-            if tries = 0 then Alcotest.fail "daemon did not exit on shutdown"
-            else begin
-              Unix.sleepf 0.05;
-              wait_exit (tries - 1)
-            end
-          | _, Unix.WEXITED 0 -> ()
-          | _, _ -> Alcotest.fail "daemon exited abnormally"
-        in
-        wait_exit 100;
-        check Alcotest.bool "socket unlinked" false (Sys.file_exists path);
-        List.iter Client.close [ c1; c2; c3; c4 ])
+      (fun () -> f path pid)
+
+(* After a shutdown request the daemon must exit with status 0 and
+   remove its socket. *)
+let expect_clean_exit path pid =
+  let rec wait_exit tries =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ ->
+      if tries = 0 then Alcotest.fail "daemon did not exit on shutdown"
+      else begin
+        Unix.sleepf 0.05;
+        wait_exit (tries - 1)
+      end
+    | _, Unix.WEXITED 0 -> ()
+    | _, Unix.WEXITED n -> Alcotest.failf "daemon exited with status %d" n
+    | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) ->
+      Alcotest.failf "daemon killed by signal %d" n
+  in
+  wait_exit 100;
+  check Alcotest.bool "socket unlinked" false (Sys.file_exists path)
+
+let test_socket_concurrent_clients () =
+  with_socket_daemon (fun path pid ->
+      (* four concurrent connections, interleaved requests *)
+      let c1 = Client.connect ~path in
+      let c2 = Client.connect ~path in
+      let c3 = Client.connect ~path in
+      let c4 = Client.connect ~path in
+      Client.ping c4;
+      Client.open_session ~vars:3 c1 "shared";
+      Client.add_clauses c1 ~session:"shared"
+        [ [ Lit.of_dimacs 1; Lit.of_dimacs 2 ]; [ Lit.of_dimacs (-1); Lit.of_dimacs 3 ] ];
+      (* a second client works against the session the first opened *)
+      (match Client.solve c2 ~session:"shared" ~assumps:[ Lit.of_dimacs (-2) ] with
+      | Client.Sat m ->
+        check Alcotest.bool "assumption honoured" false m.(1)
+      | _ -> Alcotest.fail "expected SAT");
+      (match
+         Client.solve c3 ~session:"shared"
+           ~assumps:[ Lit.of_dimacs (-1); Lit.of_dimacs (-2) ]
+       with
+      | Client.Unsat (Some core) ->
+        check Alcotest.bool "non-empty core over the wire" true (core <> [])
+      | _ -> Alcotest.fail "expected UNSAT with core");
+      (* a reply larger than the 64 KB Unix.write_substring passes to
+         one write(2) *)
+      Client.open_session ~vars:20_000 c3 "wide";
+      (match
+         Client.solve c3 ~session:"wide" ~assumps:[ Lit.of_dimacs (-20_000) ]
+       with
+      | Client.Sat m ->
+        check Alcotest.int "one value per variable" 20_000 (Array.length m);
+        check Alcotest.bool "assumption honoured" false m.(19_999)
+      | _ -> Alcotest.fail "expected SAT");
+      let stats = Client.stats c1 ~session:"shared" in
+      check Alcotest.bool "stats carry clause count" true
+        (List.mem_assoc "clauses" stats);
+      Client.close_session c4 ~session:"shared";
+      Client.shutdown c2;
+      expect_clean_exit path pid;
+      List.iter Client.close [ c1; c2; c3; c4 ])
+
+(* A client that closes before its reply arrives costs only its own
+   connection: the reply's write fails with EPIPE instead of SIGPIPE
+   ending the daemon and every other client's sessions. *)
+let test_socket_client_hangs_up () =
+  with_socket_daemon (fun path pid ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      let oc = Unix.out_channel_of_descr fd in
+      let quitter = Client.of_channels (Unix.in_channel_of_descr fd) oc in
+      let cnf = Berkmin_gen.Pigeonhole.php 8 7 in
+      Client.open_session ~vars:(Cnf.num_vars cnf) quitter "hole";
+      Client.add_clauses quitter ~session:"hole"
+        (List.map Clause.to_list (Cnf.clauses cnf));
+      (* hole(8,7) takes tens of milliseconds: the client is gone before
+         the reply is written *)
+      output_string oc {|{"op":"solve","session":"hole"}|};
+      output_char oc '\n';
+      flush oc;
+      Unix.close fd;
+      let other = Client.connect ~path in
+      Client.ping other;
+      Client.shutdown other;
+      expect_clean_exit path pid;
+      Client.close other)
 
 let () =
   Alcotest.run "server"
@@ -511,5 +553,7 @@ let () =
         [
           Alcotest.test_case "concurrent clients" `Quick
             test_socket_concurrent_clients;
+          Alcotest.test_case "client hangs up before its reply" `Quick
+            test_socket_client_hangs_up;
         ] );
     ]
