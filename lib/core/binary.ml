@@ -6,9 +6,11 @@ type t = {
   mutable entries : int;
 }
 
+(* Lists start at capacity 0, so a literal in no 2-clause costs its
+   3-word record alone. *)
 let create ~num_lits =
   {
-    index = Array.init (max num_lits 1) (fun _ -> Ivec.create ~capacity:4 ());
+    index = Array.init (max num_lits 1) (fun _ -> Ivec.create ~capacity:0 ());
     entries = 0;
   }
 
@@ -18,7 +20,7 @@ let grow t ~num_lits =
     let new_cap = max num_lits (2 * cap) in
     let index =
       Array.init new_cap (fun i ->
-          if i < cap then t.index.(i) else Ivec.create ~capacity:4 ())
+          if i < cap then t.index.(i) else Ivec.create ~capacity:0 ())
     in
     t.index <- index
   end

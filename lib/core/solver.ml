@@ -74,6 +74,18 @@ type t = {
   mutable nb_memo : int array;  (* per literal: memoized currently-binary degree *)
   mutable nb_memo_epoch : int array;  (* assign_epoch at which nb_memo was computed *)
   mutable var_act : float array;
+  mutable heap : int array;
+      (* [heap.(0 .. heap_len - 1)]: the activity order of global
+         decisions, a binary max-heap of variables (see "The activity
+         order of global decisions" below) *)
+  mutable heap_len : int;
+  mutable heap_pos : int array;  (* per variable: its heap slot, or -1 *)
+  mutable heap_key : float array;
+      (* per variable: the activity it was placed in the heap with *)
+  mutable heap_dirty : bool array;  (* per variable: bumped since placed *)
+  dirty_vars : Ivec.t;  (* the variables marked in [heap_dirty] *)
+  mutable heap_stale : bool;
+      (* decay or rescaling moved every activity since the last rebuild *)
   mutable lit_act : int array;  (* symmetrization counters, never decayed *)
   mutable vsids : float array;  (* Chaff-baseline literal scores, decayed *)
   mutable saved_phase : Value.t array;
@@ -186,11 +198,126 @@ let enqueue s l reason =
   if dl = 0 && s.proof <> None then log_add s [| l |];
   Ivec.push s.trail l
 
+(* ------------------------------------------------------------------ *)
+(* The activity order of global decisions.
+
+   A global decision, taken when every learnt clause is satisfied,
+   picks the most active free variable, ties to the lowest index.  The
+   paper benchmarked a linear scan; Remark 1 says BerkMin561 looks the
+   variable up instead.  Here an indexed binary max-heap orders the
+   variables by [heap_key] descending, then index ascending.  A
+   variable's key is the activity it was placed with, not the live
+   [var_act]: BerkMin bumps every literal of every clause responsible
+   for a conflict, so sifting on each bump would cost more than it
+   saves, and a heap that compared the live activities would drift out
+   of order between sifts.  Instead:
+   - [bump_var] only marks the variable dirty;
+   - [most_active_free_var] first re-keys the dirty variables and sifts
+     them up (a bump only raises an activity), or rebuilds the heap
+     when more than a quarter are dirty, then pops tops that are
+     assigned or eliminated;
+   - [unassign] puts a popped variable back, [declare_vars] inserts new
+     ones;
+   - decay and rescaling move every activity, so they mark the whole
+     heap stale, and the next global decision rebuilds it.  Decays come
+     every few dozen conflicts, global decisions often far more rarely.
+   So at each global decision every free, non-eliminated variable is in
+   the heap under its live activity, and the top is the variable the
+   scan would pick.  {!order_heap_violations} audits this. *)
+
+let[@inline] heap_before s u v =
+  let ku : float = s.heap_key.(u) and kv = s.heap_key.(v) in
+  ku > kv || (ku = kv && u < v)
+
+(* Moves the variable at slot [i] up to its place. *)
+let heap_sift_up s i =
+  let v = s.heap.(i) in
+  let i = ref i in
+  while !i > 0 && heap_before s v s.heap.((!i - 1) / 2) do
+    let p = (!i - 1) / 2 in
+    let u = s.heap.(p) in
+    s.heap.(!i) <- u;
+    s.heap_pos.(u) <- !i;
+    i := p
+  done;
+  s.heap.(!i) <- v;
+  s.heap_pos.(v) <- !i
+
+(* Moves the variable at slot [i] down to its place. *)
+let heap_sift_down s i =
+  let v = s.heap.(i) in
+  let n = s.heap_len in
+  let i = ref i in
+  let placed = ref false in
+  while not !placed do
+    let c = (2 * !i) + 1 in
+    if c >= n then placed := true
+    else begin
+      let c =
+        if c + 1 < n && heap_before s s.heap.(c + 1) s.heap.(c) then c + 1
+        else c
+      in
+      let u = s.heap.(c) in
+      if heap_before s u v then begin
+        s.heap.(!i) <- u;
+        s.heap_pos.(u) <- !i;
+        i := c
+      end
+      else placed := true
+    end
+  done;
+  s.heap.(!i) <- v;
+  s.heap_pos.(v) <- !i
+
+let heap_insert s v =
+  s.heap_key.(v) <- s.var_act.(v);
+  let i = s.heap_len in
+  s.heap_len <- i + 1;
+  s.heap.(i) <- v;
+  heap_sift_up s i
+
+let heap_remove_top s =
+  s.heap_pos.(s.heap.(0)) <- -1;
+  let n = s.heap_len - 1 in
+  s.heap_len <- n;
+  if n > 0 then begin
+    s.heap.(0) <- s.heap.(n);
+    heap_sift_down s 0
+  end
+
+(* Re-keys every variable and restores the heap order bottom-up (Floyd):
+   O(variables).  Variables eliminated or fixed at the root leave the
+   heap on the way: no later global decision can pick them, so popping
+   them one by one, O(log variables) each, would be wasted. *)
+let heap_rebuild s =
+  Ivec.iter (fun v -> s.heap_dirty.(v) <- false) s.dirty_vars;
+  Ivec.clear s.dirty_vars;
+  s.heap_stale <- false;
+  let n = ref 0 in
+  for i = 0 to s.heap_len - 1 do
+    let v = s.heap.(i) in
+    if
+      s.eliminated.(v)
+      || (s.level.(v) = 0 && lit_value s (Lit.pos v) <> Value.Unassigned)
+    then s.heap_pos.(v) <- -1
+    else begin
+      s.heap.(!n) <- v;
+      s.heap_pos.(v) <- !n;
+      incr n
+    end
+  done;
+  s.heap_len <- !n;
+  Array.blit s.var_act 0 s.heap_key 0 s.nvars;
+  for i = (s.heap_len / 2) - 1 downto 0 do
+    heap_sift_down s i
+  done
+
 let unassign s l =
   let v = Lit.var l in
   s.vals.(l) <- Value.Unassigned;
   s.vals.(Lit.negate l) <- Value.Unassigned;
-  s.reason.(v) <- Arena.cref_undef
+  s.reason.(v) <- Arena.cref_undef;
+  if s.heap_pos.(v) < 0 then heap_insert s v
 
 let backtrack s lvl =
   if decision_level s > lvl then begin
@@ -484,12 +611,21 @@ let propagate s =
 
 let rescale_limit = 1e100
 
+(* The heap learns of a bump at the next global decision: here the
+   variable is only marked (see "The activity order of global
+   decisions"). *)
 let bump_var s v =
   s.var_act.(v) <- s.var_act.(v) +. 1.0;
-  if s.var_act.(v) > rescale_limit then
+  if not s.heap_dirty.(v) then begin
+    s.heap_dirty.(v) <- true;
+    Ivec.push s.dirty_vars v
+  end;
+  if s.var_act.(v) > rescale_limit then begin
     for u = 0 to s.nvars - 1 do
       s.var_act.(u) <- s.var_act.(u) *. 1e-100
-    done
+    done;
+    s.heap_stale <- true
+  end
 
 let bump_vsids s l =
   s.vsids.(l) <- s.vsids.(l) +. 1.0;
@@ -512,7 +648,8 @@ let maybe_decay s =
     let f = 1.0 /. s.cfg.var_decay_factor in
     for v = 0 to s.nvars - 1 do
       s.var_act.(v) <- s.var_act.(v) *. f
-    done
+    done;
+    s.heap_stale <- true
   end;
   if c - s.last_vsids_decay >= vsids_decay_interval then begin
     s.last_vsids_decay <- c;
@@ -1066,6 +1203,9 @@ let simplify_now s =
           out.Simp.units;
         if out.Simp.unsat then s.ok <- false;
         s.top_cursor <- Ivec.length s.learnt - 1;
+        (* The next global decision rebuilds the activity heap without
+           the variables eliminated or fixed here. *)
+        s.heap_stale <- true;
         (* Compact away the freed clauses, then re-derive the watch
            invariant (long clauses attach; clauses satisfied by the new
            units stay unattached; single-survivor clauses enqueue). *)
@@ -1140,24 +1280,39 @@ let find_top_clauses s =
   s.stats.top_cursor_steps <- s.stats.top_cursor_steps + steps;
   found
 
-(* Most active free variable: the linear scan the paper benchmarked
-   (Remark 1).  BerkMin561's "strategy 3" heap makes the same picks; a
-   measured copy gained no resolvable time and cost ~11% peak RSS on the
-   incremental workload, so it is not kept. *)
+(* Most active free variable, ties to the lowest index: the pick of the
+   linear scan the paper benchmarked, looked up in the activity heap as
+   BerkMin561 does (Remark 1).  The dirty variables are re-keyed first;
+   a top that is assigned or eliminated then leaves the heap ([unassign]
+   puts an assigned one back). *)
 let most_active_free_var s =
-  let best = ref (-1) in
-  let best_act = ref neg_infinity in
-  for v = 0 to s.nvars - 1 do
-    if
-      lit_value s (Lit.pos v) = Value.Unassigned
-      && (not s.eliminated.(v))
-      && s.var_act.(v) > !best_act
-    then begin
-      best := v;
-      best_act := s.var_act.(v)
+  let d = Ivec.length s.dirty_vars in
+  if s.heap_stale || 4 * d > s.heap_len then heap_rebuild s
+  else begin
+    for j = 0 to d - 1 do
+      let v = Ivec.get s.dirty_vars j in
+      s.heap_dirty.(v) <- false;
+      let i = s.heap_pos.(v) in
+      if i >= 0 then begin
+        s.heap_key.(v) <- s.var_act.(v);
+        heap_sift_up s i
+      end
+    done;
+    Ivec.clear s.dirty_vars
+  end;
+  let rec top () =
+    if s.heap_len = 0 then None
+    else begin
+      let v = s.heap.(0) in
+      if lit_value s (Lit.pos v) = Value.Unassigned && not s.eliminated.(v)
+      then Some v
+      else begin
+        heap_remove_top s;
+        top ()
+      end
     end
-  done;
-  if !best < 0 then None else Some !best
+  in
+  top ()
 
 let best_vsids_literal s =
   let best = ref (-1) in
@@ -1551,6 +1706,49 @@ let top_cursor_violations s =
   done;
   !errs
 
+(* The invariants [most_active_free_var] relies on (see "The activity
+   order of global decisions"): the heap is ordered by its placement
+   keys, holds every free, non-eliminated variable, and, unless the
+   whole heap is stale, a variable in it whose key differs from its live
+   activity is marked dirty.  O(variables). *)
+let order_heap_violations s =
+  let errs = ref [] in
+  let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
+  for i = 0 to s.heap_len - 1 do
+    let v = s.heap.(i) in
+    if s.heap_pos.(v) <> i then
+      err "heap slot %d holds var %d, whose position reads %d" i v
+        s.heap_pos.(v);
+    if i > 0 then begin
+      let u = s.heap.((i - 1) / 2) in
+      if heap_before s v u then
+        err "slot %d: var %d (key %.17g) outranks its parent var %d (key %.17g)"
+          i v s.heap_key.(v) u s.heap_key.(u)
+    end;
+    if
+      (not s.heap_stale)
+      && s.heap_key.(v) <> s.var_act.(v)
+      && not s.heap_dirty.(v)
+    then
+      err "var %d is in the heap under key %.17g, activity %.17g, not dirty"
+        v s.heap_key.(v) s.var_act.(v)
+  done;
+  for v = 0 to s.nvars - 1 do
+    let p = s.heap_pos.(v) in
+    if p >= s.heap_len || (p >= 0 && s.heap.(p) <> v) then
+      err "var %d claims heap slot %d of %d" v p s.heap_len
+    else if
+      p < 0
+      && lit_value s (Lit.pos v) = Value.Unassigned
+      && not s.eliminated.(v)
+    then err "var %d is free but not in the heap" v
+  done;
+  Ivec.iter
+    (fun v ->
+      if not s.heap_dirty.(v) then err "var %d listed dirty, unmarked" v)
+    s.dirty_vars;
+  List.rev !errs
+
 let watch_invariant_violations s =
   if not s.ok then []
   else begin
@@ -1656,7 +1854,7 @@ let watch_invariant_violations s =
         err "var %d: literal values %s/%s are not complementary" v
           (Value.to_string p) (Value.to_string n)
     done;
-    List.rev_append !errs (top_cursor_violations s)
+    List.rev_append !errs (top_cursor_violations s @ order_heap_violations s)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1665,18 +1863,17 @@ let watch_invariant_violations s =
 let extract_model s =
   (* [vals] is padded to length >= 1 even for empty formulas, so
      build the model from the true variable count. *)
-  let m =
-    Array.init s.nvars (fun v ->
-        match lit_value s (Lit.pos v) with
-        | Value.True -> true
-        | Value.False -> false
-        | Value.Unassigned ->
-          (* Only variables removed by BVE may be unassigned in a
-             complete assignment; the reconstruction pass below picks
-             their value from the clauses they were resolved out of. *)
-          assert s.eliminated.(v);
-          false)
-  in
+  let m = Array.make s.nvars false in
+  for v = 0 to s.nvars - 1 do
+    match lit_value s (Lit.pos v) with
+    | Value.True -> m.(v) <- true
+    | Value.False -> ()
+    | Value.Unassigned ->
+      (* Only variables removed by BVE may be unassigned in a complete
+         assignment; the reconstruction pass below picks their value
+         from the clauses they were resolved out of. *)
+      assert s.eliminated.(v)
+  done;
   if s.elim_stack <> [] then Berkmin_simplify.Recon.extend s.elim_stack m;
   m
 
@@ -1877,7 +2074,11 @@ let declare_vars s n =
       s.seen <- grow_arr s.seen false cap;
       s.eliminated <- grow_arr s.eliminated false cap;
       s.saved_phase <- grow_arr s.saved_phase Value.Unassigned cap;
-      s.var_act <- grow_arr s.var_act 0.0 cap
+      s.var_act <- grow_arr s.var_act 0.0 cap;
+      s.heap <- grow_arr s.heap 0 cap;
+      s.heap_pos <- grow_arr s.heap_pos (-1) cap;
+      s.heap_key <- grow_arr s.heap_key 0.0 cap;
+      s.heap_dirty <- grow_arr s.heap_dirty false cap
     end;
     let lcap = Array.length s.lit_act in
     if 2 * n > lcap then begin
@@ -1887,11 +2088,16 @@ let declare_vars s n =
       s.vsids <- grow_arr s.vsids 0.0 cap;
       s.nb_memo <- grow_arr s.nb_memo 0 cap;
       s.nb_memo_epoch <- grow_arr s.nb_memo_epoch (-1) cap;
+      (* Watch lists start empty: an empty list costs its 3-word
+         record, and [attach_all] sizes the rest exactly. *)
       s.watches <-
         Array.init cap (fun i ->
             if i < Array.length s.watches then s.watches.(i)
-            else Ivec.create ~capacity:8 ())
+            else Ivec.create ~capacity:0 ())
     end;
+    for v = s.nvars to n - 1 do
+      heap_insert s v
+    done;
     s.nvars <- n;
     Binary.grow s.binary ~num_lits:(2 * n)
   end
@@ -1989,7 +2195,7 @@ let build ?(config = Config.berkmin) intake =
     original = Ivec.create ();
     learnt = Ivec.create ();
     learnt_glue = Ivec.create ();
-    watches = [| Ivec.create ~capacity:8 () |];
+    watches = [| Ivec.create ~capacity:0 () |];
     binary = Binary.create ~num_lits:1;
     vals = [| Value.Unassigned |];
     level = [| 0 |];
@@ -2003,6 +2209,13 @@ let build ?(config = Config.berkmin) intake =
     nb_memo = [| 0 |];
     nb_memo_epoch = [| -1 |];
     var_act = [| 0.0 |];
+    heap = [| 0 |];
+    heap_len = 0;
+    heap_pos = [| -1 |];
+    heap_key = [| 0.0 |];
+    heap_dirty = [| false |];
+    dirty_vars = Ivec.create ();
+    heap_stale = false;
     lit_act = [| 0 |];
     vsids = [| 0.0 |];
     saved_phase = [| Value.Unassigned |];

@@ -266,8 +266,8 @@ val watch_invariant_violations : t -> string list
     indexed exactly once in each direction and never watched; every
     index entry matches a live 2-clause in the arena; and the two
     literals of every variable are both unassigned or hold opposite
-    values; and {!top_cursor_violations} finds none.  O(database
-    size); for tests. *)
+    values; and {!top_cursor_violations} and {!order_heap_violations}
+    find none.  O(database size); for tests. *)
 
 val top_cursor_violations : t -> string list
 (** Audits the invariant the top-clause cursor relies on: every learnt
@@ -275,6 +275,18 @@ val top_cursor_violations : t -> string list
     a scan from the stack top would (paper Section 5).  One description
     per violation (empty = healthy).  O(learnt clauses); for tests,
     e.g. from {!set_decision_hook} at every decision. *)
+
+val order_heap_violations : t -> string list
+(** Audits the activity heap that global decisions read (paper
+    Remark 1): it is ordered by the activity each variable was placed
+    with (ties to the lower index), it holds every free variable not
+    eliminated by simplification, and every variable in it whose
+    placement activity differs from its live activity is marked for
+    re-keying at the next global decision: on its own after a bump, or
+    with the whole heap after a decay or rescale.  Together these make the
+    heap's pick the most active free variable, lowest index first.  One
+    description per violation (empty = healthy).  O(variables); for
+    tests, e.g. from {!set_decision_hook} at every decision. *)
 
 val solve_cnf : ?config:Config.t -> ?budget:budget -> Cnf.t -> result
 (** One-shot convenience wrapper. *)

@@ -3,7 +3,10 @@ type t = {
   mutable len : int;
 }
 
-let create ?(capacity = 16) () = { data = Array.make (max capacity 1) 0; len = 0 }
+(* A capacity of 0 allocates no array: the vector is its 3-word record
+   until the first [push] or [reserve]. *)
+let create ?(capacity = 16) () =
+  { data = Array.make (max capacity 0) 0; len = 0 }
 
 let of_list l =
   match l with
@@ -36,7 +39,8 @@ let resize v cap =
 let reserve v n = if n > Array.length v.data then resize v n
 
 let push v x =
-  if v.len = Array.length v.data then resize v (2 * v.len);
+  if v.len = Array.length v.data then
+    resize v (if v.len = 0 then 4 else 2 * v.len);
   Array.unsafe_set v.data v.len x;
   v.len <- v.len + 1
 

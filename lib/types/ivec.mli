@@ -24,7 +24,12 @@ type t = private {
 }
 
 val create : ?capacity:int -> unit -> t
-(** Fresh empty vector. *)
+(** Fresh empty vector with room for [capacity] elements (default 16).
+    Capacity 0 allocates no backing array; the first {!push} then
+    makes room for 4, and each later full push doubles it.  The
+    solver's per-literal watch and binary-index lists start this way:
+    construction sizes each watch list exactly, and a literal in no
+    2-clause keeps no array. *)
 
 val of_list : int list -> t
 

@@ -186,17 +186,19 @@ let prop_wide_clauses =
       done;
       solver_verdict cnf = oracle_verdict cnf)
 
-(* The first top-cursor violation seen at a decision of [s], if any:
-   a full rescan from the stack top would pass over every clause above
-   the cursor only if all of them are satisfied. *)
-let audit_cursor_at_decisions s =
+(* The first violation [audit s] reports at a decision of [s], if any. *)
+let audit_at_decisions audit s =
   let violation = ref None in
   Solver.set_decision_hook s (fun _ _ ->
       if !violation = None then
-        match Solver.top_cursor_violations s with
+        match audit s with
         | [] -> ()
         | v :: _ -> violation := Some v);
   violation
+
+(* A full rescan from the stack top would pass over every clause above
+   the cursor only if all of them are satisfied. *)
+let audit_cursor_at_decisions = audit_at_decisions Solver.top_cursor_violations
 
 (* 3-SAT near the threshold, large enough that searches restart and
    learn units, the moves after which a stale cursor would show. *)
@@ -228,6 +230,76 @@ let prop_cursor_matches_naive =
           | None -> true
           | Some v -> QCheck.Test.fail_report v)
         [ Config.berkmin; { Config.berkmin with top_window = 3 }; Config.modern ])
+
+(* Configurations that move activities differently: the paper's
+   preset, the modern pack (restarts, phase saving), bumps over the
+   learnt clause only, every decision global, decay factors 2, 4
+   (the preset's) and 8, and a factor below 1.  That last one multiplies
+   every activity by 1e20 every second conflict, so bumps cross the
+   1e100 rescale limit within a dozen conflicts, and decisions follow a
+   rescale before the next decay. *)
+let heap_configs =
+  [
+    Config.berkmin;
+    Config.modern;
+    Config.less_sensitivity;
+    Config.less_mobility;
+    { Config.berkmin with var_decay_factor = 2.0 };
+    { Config.berkmin with var_decay_factor = 8.0 };
+    { Config.berkmin with var_decay_interval = 2; var_decay_factor = 1e-20 };
+  ]
+
+(* Random 3-clauses over the first [nv] variables. *)
+let random_clauses rng nv n =
+  List.init n (fun _ ->
+      List.init 3 (fun _ -> Lit.make (Rng.int rng nv) (Rng.bool rng)))
+
+let prop_order_heap_audit =
+  (* Global decisions read the most active free variable off a heap
+     keyed by the activities the variables were placed with.  At every
+     decision the heap must be ordered by those keys, hold every free
+     variable that was not eliminated, and have marked dirty every
+     variable whose activity moved since it was placed: then its top is
+     the linear scan's pick.  Checked under [heap_configs], through an
+     incremental session ([new_var], [add_clause], [solve ~assumps]),
+     and after [simplify] eliminates variables. *)
+  QCheck.Test.make ~name:"activity heap keeps its invariants at every decision"
+    ~count:150 cursor_cnf_gen
+    (fun ((nv, _, seed) as params) ->
+      let cnf = build params in
+      let audited s run =
+        let violation = audit_at_decisions Solver.order_heap_violations s in
+        run ();
+        match !violation with
+        | None -> true
+        | Some v -> QCheck.Test.fail_report v
+      in
+      let one_shot config =
+        let s = Solver.create ~config cnf in
+        audited s (fun () -> ignore (Solver.solve s))
+      in
+      let incremental () =
+        let rng = Rng.create seed in
+        let s = Solver.create cnf in
+        audited s (fun () ->
+            for _ = 1 to 4 do
+              let assumps =
+                List.init 3 (fun _ -> Lit.make (Rng.int rng nv) (Rng.bool rng))
+              in
+              ignore (Solver.solve ~assumps s);
+              ignore (Solver.new_var s);
+              List.iter (Solver.add_clause s)
+                (random_clauses rng (Solver.num_vars s) 4)
+            done;
+            ignore (Solver.solve s))
+      in
+      let simplified () =
+        let s = Solver.create cnf in
+        audited s (fun () ->
+            Solver.simplify s;
+            ignore (Solver.solve s))
+      in
+      List.for_all one_shot heap_configs && incremental () && simplified ())
 
 let prop_deterministic =
   QCheck.Test.make ~name:"runs are reproducible" ~count:100 random_cnf_gen
@@ -374,6 +446,7 @@ let () =
           qtest prop_budget_never_lies;
           qtest prop_deterministic;
           qtest prop_cursor_matches_naive;
+          qtest prop_order_heap_audit;
         ] );
       ( "differential-regression",
         [

@@ -383,6 +383,23 @@ let test_load_file_solves () =
       let s = Solver.load_file path in
       check Alcotest.bool "hole_6_5 is UNSAT" true (is_unsat (Solver.solve s)))
 
+(* Building a solver for a formula with many variables and no clauses
+   measures the per-variable scaffolding alone: the per-variable and
+   per-literal arrays, the activity heap, and one empty watch list and
+   one empty binary-index list per literal.  Those lists start without
+   a backing array: lists of capacity 8 and 4 would cost about 496
+   bytes per variable, over the bound. *)
+let test_create_allocation () =
+  let n = 100_000 in
+  let cnf = Cnf.create ~num_vars:n () in
+  let before = Gc.allocated_bytes () in
+  let s = Solver.create cnf in
+  let per_var = (Gc.allocated_bytes () -. before) /. float_of_int n in
+  check Alcotest.int "variables" n (Solver.num_vars s);
+  if per_var >= 400.0 then
+    Alcotest.failf "Solver.create allocated %.0f bytes per variable (bound 400)"
+      per_var
+
 (* ------------------------------------------------------------------ *)
 (* Mid-life clause intake: [add_clause] and [import_clause] normalize
    a clause, filter it against the root assignment and store what is
@@ -547,6 +564,8 @@ let () =
           Alcotest.test_case "load stats recorded" `Quick
             test_load_stats_recorded;
           Alcotest.test_case "load_file solves" `Quick test_load_file_solves;
+          Alcotest.test_case "create allocation per variable" `Quick
+            test_create_allocation;
         ] );
       ( "intake",
         [

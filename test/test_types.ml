@@ -184,6 +184,35 @@ let test_ivec_inlined_bounds () =
     (Invalid_argument "Ivec.set: index -1 out of bounds [0,3)")
     (fun () -> Ivec.set v (-1) 9)
 
+(* The solver's per-literal lists start at capacity 0: no backing array
+   until the first push, which makes room for 4; later pushes double. *)
+let test_ivec_capacity_zero () =
+  let v = Ivec.create ~capacity:0 () in
+  let capacity () = Array.length v.Ivec.data in
+  check Alcotest.int "no array" 0 (capacity ());
+  check Alcotest.bool "empty" true (Ivec.is_empty v);
+  Ivec.push v 10;
+  check Alcotest.int "first push makes room for 4" 4 (capacity ());
+  for i = 1 to 4 do
+    Ivec.push v (10 + i)
+  done;
+  check Alcotest.int "fifth push doubles" 8 (capacity ());
+  check (Alcotest.list Alcotest.int) "contents" [ 10; 11; 12; 13; 14 ]
+    (Ivec.to_list v);
+  let w = Ivec.create ~capacity:0 () in
+  Ivec.reserve w 5;
+  check Alcotest.int "reserve sizes exactly" 5 (Array.length w.Ivec.data);
+  check Alcotest.int "reserve keeps the length" 0 (Ivec.length w);
+  for i = 0 to 4 do
+    Ivec.push w (i * i)
+  done;
+  check Alcotest.int "no growth within the reserve" 5
+    (Array.length w.Ivec.data);
+  check Alcotest.int "get" 16 (Ivec.get w 4);
+  Alcotest.check_raises "get past the length"
+    (Invalid_argument "Ivec.get: index 5 out of bounds [0,5)")
+    (fun () -> ignore (Ivec.get w 5))
+
 let test_vec_swap_remove () =
   let v = Vec.of_list [ 10; 20; 30; 40 ] ~dummy:0 in
   Vec.swap_remove v 1;
@@ -398,6 +427,7 @@ let () =
           Alcotest.test_case "push/pop" `Quick Ivec_tests.test_push_pop;
           Alcotest.test_case "bounds" `Quick Ivec_tests.test_bounds;
           Alcotest.test_case "bounds, inlined" `Quick test_ivec_inlined_bounds;
+          Alcotest.test_case "capacity 0" `Quick test_ivec_capacity_zero;
           Alcotest.test_case "shrink/clear" `Quick Ivec_tests.test_shrink_clear;
           Alcotest.test_case "filter_in_place" `Quick
             Ivec_tests.test_filter_in_place;
